@@ -9,6 +9,7 @@ finding, not a usage problem).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from contextlib import nullcontext
@@ -178,16 +179,24 @@ def _cmd_search(args) -> int:
     records = search.survey(shapes, prune=not args.no_prune,
                             prefilter_depth=args.prefilter_depth, jobs=args.jobs)
     writer = search.write_csv if args.format == "csv" else search.write_jsonl
+    errors: list[search.SearchRecord] = []
 
-    def emit(out):
-        def stream():
-            yield from kept
-            yield from records
-        return writer(stream(), out)
+    def stream():
+        for rec in itertools.chain(kept, records):
+            if rec.outcome == search.ERROR:
+                errors.append(rec)
+            yield rec
 
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out:
-        count = emit(out)
+        count = writer(stream(), out)
     print(f"classified {count} shapes", file=sys.stderr)
+    if errors:
+        # the rows stay in the output; the exit status must still report them
+        first = errors[0]
+        print(f"invariant violation: {len(errors)} error rows, first at "
+              f"n={first.n}, s={first.s}: {first.message or 'no message recorded'}",
+              file=sys.stderr)
+        return INVARIANT_VIOLATION
     return 0
 
 

@@ -9,11 +9,12 @@ multiplication/remainder reduce to shifts and XORs.
 
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
-integers and carry the performance-sensitive inner loops; the hot paths
-(modular squaring chains for irreducibility testing and distinct-degree
-factor counting) exploit sparse moduli such as X^n + X^(n-s) + X^(n-2s) +
-X^(n-3s) + 1, for which reduction costs a handful of shifted XORs per
-degree-gap step instead of one per quotient bit.
+integers and carry the performance-sensitive inner loops.  The hot paths
+are modular squaring chains: a squaring is two ``bytes.translate`` table
+maps, and a sparse modulus such as X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
+costs a handful of shifted XORs per top-gap step, run on p or on its
+reciprocal, whichever has the larger gap.  One chain per polynomial serves
+both the small-factor prefilter and Rabin's irreducibility test.
 """
 
 from __future__ import annotations
@@ -114,18 +115,18 @@ def _spread_nibble(n: int) -> int:
     return r
 
 
-# byte -> two little-endian bytes with the bits spread apart, so squaring a
-# polynomial (p(X)^2 = p(X^2) in characteristic 2) is a bytewise table map.
-_SPREAD = tuple(
-    bytes((_spread_nibble(b & 15), _spread_nibble(b >> 4))) for b in range(256)
-)
+# byte -> the spread of its low (high) nibble, the even (odd) byte of its
+# square, since p(X)^2 = p(X^2) in characteristic 2
+_SPREAD_LO = bytes(_spread_nibble(b & 15) for b in range(256))
+_SPREAD_HI = bytes(_spread_nibble(b >> 4) for b in range(256))
 
 
 def _sqr(a: int) -> int:
-    nb = (a.bit_length() + 7) >> 3
-    return int.from_bytes(
-        b"".join(map(_SPREAD.__getitem__, a.to_bytes(nb, "little"))), "little"
-    )
+    src = a.to_bytes((a.bit_length() + 7) >> 3, "little")
+    out = bytearray(2 * len(src))
+    out[0::2] = src.translate(_SPREAD_LO)
+    out[1::2] = src.translate(_SPREAD_HI)
+    return int.from_bytes(out, "little")
 
 
 def _sqrt(a: int) -> int:
@@ -139,14 +140,15 @@ class _ReduceCtx:
     """Reduction strategy for a fixed modulus, reused across a squaring chain.
 
     For a sparse modulus the quotient is applied one top-gap step at a time,
-    which costs (terms - 1) shifted XORs per step.  Class 2 pentanomials and
-    trinomials with constant term 1 are first widened by a small cofactor to
-    enlarge the top gap (values stay congruent modulo the true modulus since
-    it divides the widened one); the final canonical remainder is obtained
-    with :func:`_rem`.
+    which costs (terms - 1) shifted XORs per step and retires ``gap`` bits.
+    Equally gapped pentanomials are first widened by X^s + 1 to enlarge the
+    top gap (values stay congruent modulo the true modulus since it divides
+    the widened one); the final canonical remainder is obtained with
+    :func:`_rem`.  The widened gap 4s survives s -> n/3, where the
+    reciprocal's gap n - 3s vanishes; :func:`_chain_ctx` picks the larger.
     """
 
-    __slots__ = ("m", "w", "dw", "mask", "shifts", "sparse")
+    __slots__ = ("m", "w", "dw", "gap", "mask", "shifts", "sparse")
 
     def __init__(self, m: int):
         self.m = m
@@ -159,13 +161,9 @@ class _ReduceCtx:
                 # X^(n+s) + X^(n-3s) + X^s + 1, a gap of 4s at the top
                 s = n - a
                 w = _mul(m, (1 << s) | 1)
-        elif len(exps) == 3 and exps[2] == 0:
-            # trinomial X^n + X^k + 1: (X^(n-k) + 1) * m has top gap n
-            n, k = exps[0], exps[1]
-            w = _mul(m, (1 << (n - k)) | 1)
         wexps = _exponents(w)
         self.dw = wexps[0]
-        gap = self.dw - wexps[1] if len(wexps) > 1 else self.dw
+        self.gap = gap = self.dw - wexps[1] if len(wexps) > 1 else self.dw
         # sparse stepping beats bitwise division when each step retires more
         # quotient bits than it spends XORs
         self.sparse = len(wexps) <= 8 and gap * 2 > len(wexps)
@@ -231,13 +229,33 @@ def _squarefree_parts(f: int) -> list[tuple[int, int]]:
     return parts
 
 
+def _reverse(a: int) -> int:
+    """Bit-reversal of a over its own length: X^deg(a) * a(1/X)."""
+    return int(format(a, "b")[::-1], 2)
+
+
+def _chain_ctx(p: int) -> _ReduceCtx:
+    """Reduction context for a squaring chain over p: p itself, or its
+    reciprocal when that has the larger top gap after widening (for the
+    pentanomial family, n - 3s against 4s).  Only p(0) = 1 flips: then
+    g -> reciprocal(g) maps the irreducible factors of p onto those of its
+    reciprocal with the same degrees, so every chain question has the same
+    answer on both.  The chain takes its gcds with ``ctx.m``."""
+    ctx = _ReduceCtx(p)
+    if p & 1 and p.bit_count() <= 8:
+        flipped = _ReduceCtx(_reverse(p))
+        if flipped.gap > ctx.gap:
+            return flipped
+    return ctx
+
+
 def _count_factors_squarefree(g: int) -> int:
     """Number of irreducible factors of squarefree g, by distinct-degree
     splitting: at step d, gcd(X^(2^d) - X, remaining) collects the product
     of all irreducible factors of degree exactly d."""
     count = 0
-    remaining = g
-    ctx = _ReduceCtx(g)
+    ctx = _chain_ctx(g)
+    remaining = ctx.m
     h = 2
     d = 0
     while _degree(remaining) > 0:
@@ -251,18 +269,6 @@ def _count_factors_squarefree(g: int) -> int:
             count += _degree(part) // d
             remaining = _divmod(remaining, part)[0]
     return count
-
-
-def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
-    """Smallest d <= d_max such that p has an irreducible factor of degree d,
-    or None.  One modular squaring and one gcd per candidate degree."""
-    ctx = _ReduceCtx(p)
-    h = 2
-    for d in range(1, d_max + 1):
-        h = ctx.sqr_mod(h)
-        if _gcd(h ^ 2, p) != 1:
-            return d
-    return None
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -279,33 +285,36 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-_IRRED_PREFILTER_DEPTH = 13
+DEFAULT_PREFILTER_DEPTH = 13
 
 
-def _is_irreducible(p: int) -> bool:
+def _smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
+    """Smallest degree d of an irreducible factor of p when d <= depth;
+    else, with ``rabin``, deg(p) if p is irreducible; else None.
+
+    One squaring chain h_k = X^(2^k) mod p answers both.  For k <= depth,
+    gcd(h_k - X, p) != 1 first at k = d: the small-factor prefilter.  With
+    ``rabin`` the chain runs on to k = n = deg(p) for Rabin's criterion: p
+    is irreducible iff X^(2^n) = X (mod p) and h_(n/q) - X is coprime to p
+    for every prime q | n.
+    """
     n = _degree(p)
-    if n == 1:
-        return True
-    if not p & 1:
-        return False  # X divides
-    if not p.bit_count() & 1:
-        return False  # X + 1 divides
-    fp = _deriv(p)
-    if fp == 0 or _gcd(p, fp) != 1:
-        return False  # not squarefree
-    # Rabin: irreducible iff X^(2^n) = X (mod p) and X^(2^(n/q)) - X is
-    # coprime to p for every prime q | n.  The same gcd test at small d
-    # doubles as a cheap factor prefilter (an irreducible p of degree n
-    # passes it for every d < n).
-    checks = {n // q for q in _prime_factors(n)}
-    checks.update(range(1, min(_IRRED_PREFILTER_DEPTH, n - 1) + 1))
-    ctx = _ReduceCtx(p)
-    h = 2
-    for k in range(1, n + 1):
+    checks = set(range(1, depth + 1))
+    if rabin:
+        checks.update(n // q for q in _prime_factors(n))
+    ctx = _chain_ctx(p)
+    m, h = ctx.m, 2
+    for k in range(1, (n if rabin else depth) + 1):
         h = ctx.sqr_mod(h)
-        if k < n and k in checks and _gcd(h ^ 2, p) != 1:
-            return False
-    return ctx.canonical(h) == 2
+        if k in checks and _gcd(h ^ 2, m) != 1:
+            return k if k <= depth else None
+    return n if rabin and ctx.canonical(h ^ 2) == 0 else None
+
+
+def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
+    """The prefilter alone: the chain stops after d_max squarings.  The
+    benchmark's tracer wraps this name as its prefilter boundary."""
+    return _smallest_factor_degree(p, d_max, rabin=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +460,7 @@ def reciprocal(p: BitPoly) -> BitPoly:
     degree is preserved (and the map is an involution)."""
     if not p.bits & 1:
         raise ValueError("reciprocal requires a nonzero constant term")
-    return BitPoly(int(format(p.bits, "b")[::-1], 2))
+    return BitPoly(_reverse(p.bits))
 
 
 def mul(a: BitPoly, b: BitPoly) -> BitPoly:
@@ -508,9 +517,11 @@ def is_irreducible(p: BitPoly) -> bool:
     """Rabin's criterion: p of degree n is irreducible over GF(2) iff
     X^(2^n) = X (mod p) and gcd(X^(2^(n/q)) - X, p) = 1 for every prime
     q dividing n."""
-    if _degree(p.bits) < 1:
+    n = _degree(p.bits)
+    if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
-    return _is_irreducible(p.bits)
+    # a perfect square (zero derivative) could run the whole chain to fail
+    return _deriv(p.bits) != 0 and _smallest_factor_degree(p.bits, DEFAULT_PREFILTER_DEPTH) == n
 
 
 def factor_count(p: BitPoly) -> FactorCount:

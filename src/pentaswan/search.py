@@ -1,11 +1,12 @@
 """Exhaustive survey of equally gapped pentanomials over (n, s) ranges.
 
 The pipeline is: enumerate shapes in deterministic (n, s) order, classify
-each one (closed-form certificate, square short-circuit, small-factor
-prefilter, then the full irreducibility test for survivors), and aggregate
-statistics.  Classification of distinct shapes is embarrassingly parallel;
-work is sharded by n so that each worker owns whole n-columns and the
-merged output order never depends on the worker count.
+each one (closed-form certificate, square short-circuit, then one squaring
+chain for the small-factor prefilter and the full irreducibility test),
+and aggregate statistics.  Classification of distinct shapes is
+embarrassingly parallel; work is sharded by n so that each worker owns
+whole n-columns and the merged output order never depends on the worker
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import gf2poly, swan
-from .gf2poly import PentShape
+from .gf2poly import DEFAULT_PREFILTER_DEPTH, PentShape
 from .zpoly import ConsistencyError
 
 __all__ = [
@@ -62,19 +63,19 @@ CSV_HEADER = ("n", "s", "outcome", "elapsed_us")
 # constant only, not recomputed here
 ARBITRARY_POLY_BASELINE = 0.0013
 
-DEFAULT_PREFILTER_DEPTH = 13
-
 
 @dataclass(frozen=True)
 class SearchRecord:
     """One classified (n, s) shape.  ``factor_bound`` is the degree at
-    which the small-factor prefilter hit, for red_smallfac outcomes."""
+    which the small-factor prefilter hit, for red_smallfac outcomes;
+    ``message`` names the exception behind an error outcome."""
 
     n: int
     s: int
     outcome: str
     elapsed_us: int = 0
     factor_bound: int | None = None
+    message: str | None = None
 
     @property
     def key(self) -> tuple[int, int, str]:
@@ -116,11 +117,8 @@ def classify_shape(
         # every exponent even: the polynomial is a perfect square
         return REDUCIBLE_SQUARE, None
     p = gf2poly.pent_poly(shape)
-    if prefilter_depth > 0:
-        bound = gf2poly._smallest_factor_degree_le(p.bits, min(prefilter_depth, n - 1))
-        if bound is not None:
-            return REDUCIBLE_SMALL_FACTOR, bound
-    if gf2poly.is_irreducible(p):
+    d = gf2poly._smallest_factor_degree(p.bits, prefilter_depth)
+    if d == n:
         if s % 2 == 0 and n % 8 not in (1, 7):
             # the even-s closed form forbids this residue; finding one
             # irreducible here would mean the theory or the test is broken
@@ -128,16 +126,19 @@ def classify_shape(
                 f"irreducible (n={n}, s={s}) with n = {n % 8} (mod 8)"
             )
         return IRREDUCIBLE, None
+    if d is not None:
+        return REDUCIBLE_SMALL_FACTOR, d
     return REDUCIBLE_FULL_TEST, None
 
 
 def _classify_timed(ns: tuple[int, int], prune: bool, depth: int):
     t0 = time.perf_counter_ns()
+    message = None
     try:
         outcome, bound = classify_shape(PentShape(ns[0], ns[1]), prune, depth)
-    except Exception:  # anomalies become records, never abort the run
-        outcome, bound = ERROR, None
-    return ns[0], ns[1], outcome, (time.perf_counter_ns() - t0) // 1000, bound
+    except Exception as e:  # anomalies become records, never abort the run
+        outcome, bound, message = ERROR, None, f"{type(e).__name__}: {e}"
+    return ns[0], ns[1], outcome, (time.perf_counter_ns() - t0) // 1000, bound, message
 
 
 def _classify_chunk(args):

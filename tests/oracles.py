@@ -19,6 +19,46 @@ def poly_divmod_bits(a: int, m: int) -> tuple[int, int]:
     return q, a
 
 
+def naive_square(a: int) -> int:
+    """Square over GF(2) one bit at a time: bit i of a lands on bit 2i."""
+    out = 0
+    i = 0
+    while a:
+        if a & 1:
+            out |= 1 << (2 * i)
+        a >>= 1
+        i += 1
+    return out
+
+
+def naive_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_divmod_bits(a, b)[1]
+    return a
+
+
+def naive_smallest_factor_degree(p: int, depth: int) -> int | None:
+    """Smallest degree d <= min(depth, deg p - 1) of an irreducible factor
+    of p; else deg p if p is irreducible by Rabin's criterion; else None.
+    Plain remainders modulo p itself: no reciprocal, no widened modulus."""
+    n = p.bit_length() - 1
+    x = poly_divmod_bits(2, p)[1]
+    frob = [x]  # frob[k] = X^(2^k) mod p
+
+    def frobenius(k):
+        while len(frob) <= k:
+            frob.append(poly_divmod_bits(naive_square(frob[-1]), p)[1])
+        return frob[k]
+
+    for d in range(1, min(depth, n - 1) + 1):
+        if naive_gcd(p, frobenius(d) ^ x) != 1:
+            return d
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    if frobenius(n) == x and all(naive_gcd(p, frob[n // q] ^ x) == 1 for q in primes):
+        return n
+    return None
+
+
 def naive_factors(p: int) -> list[int]:
     """Complete factorization over GF(2) by trial division, smallest
     divisor first (which makes each found divisor irreducible).  Only

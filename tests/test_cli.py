@@ -180,6 +180,26 @@ def test_search_resume_equivalent_to_one_shot(capsys, tmp_path):
     assert resumed == direct
 
 
+def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatch):
+    # call every pentanomial irreducible: the residue guard then fails on the
+    # even-s shapes with n = 3, 5 (mod 8), and those rows come back "error"
+    from pentaswan import gf2poly
+
+    monkeypatch.setattr(gf2poly, "_smallest_factor_degree", lambda p, depth: p.bit_length() - 1)
+    out_path = tmp_path / "errors.csv"
+    code, _, err = run(
+        capsys, "search", "--n-min", "7", "--n-max", "14", "--no-prune",
+        "--jobs", "1", "--out", str(out_path),
+    )
+    assert code == 2
+    with open(out_path) as f:
+        rows = [(r.n, r.s, r.outcome) for r in read_csv(f)]
+    assert rows == [(7, 2, "irr"), (9, 2, "irr"), (11, 2, "error"), (13, 2, "error"),
+                    (13, 4, "error")]
+    assert "3 error rows" in err
+    assert "n=11, s=2: ConsistencyError: irreducible (n=11, s=2) with n = 3 (mod 8)" in err
+
+
 def test_search_usage_errors(capsys):
     assert run(capsys, "search", "--n-max", "20", "--format", "xml")[0] == 1
     assert run(capsys, "search", "--n-max", "20", "--resume")[0] == 1

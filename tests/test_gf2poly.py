@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pentaswan import gf2poly
 from pentaswan.gf2poly import (
     BitPoly,
     ONE,
@@ -22,6 +23,7 @@ from pentaswan.gf2poly import (
     rem,
     squarefree_parts,
 )
+from pentaswan.search import enumerate_shapes
 
 import oracles
 
@@ -204,6 +206,46 @@ def test_reciprocal_preserves_irreducibility():
     for _ in range(150):
         p = BitPoly(rand_poly(rng, 40).bits | 1)
         assert is_irreducible(p) == is_irreducible(reciprocal(p)), p
+
+
+# --- squaring chain, differential against the oracles ---------------------------
+
+def test_sqr_matches_naive_square():
+    rng = random.Random(21)
+    boundaries = {8 * k + e for k in range(1, 17) for e in (-1, 0, 1)}
+    for bits in sorted(set(range(71)) | boundaries | {500, 3000}):
+        values = [(1 << bits) - 1]
+        values += [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(3)] if bits else []
+        for a in values:
+            assert gf2poly._sqr(a) == oracles.naive_square(a), (bits, a)
+
+
+def test_fused_chain_matches_oracle_on_every_shape_below_200():
+    for parity in ("even", "odd"):
+        for shape in enumerate_shapes(7, 200, parity, "all"):
+            p = pent_poly(shape).bits
+            assert gf2poly._smallest_factor_degree(p, 13) == (
+                oracles.naive_smallest_factor_degree(p, 13)
+            ), shape
+
+
+def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
+    rng = random.Random(22)
+    for i in range(60):
+        deg = rng.randrange(1, 41)
+        if i % 2:  # sparse, where the chain may run on the reciprocal
+            exps = {deg, 0, *rng.sample(range(1, deg), min(deg - 1, rng.randrange(1, 6)))}
+            p = BitPoly.from_exponents(exps)
+        else:
+            p = BitPoly((1 << deg) | rng.getrandbits(deg) | 1)
+        degrees = sorted(f.bit_length() - 1 for f in oracles.naive_factors(p.bits))
+        depth = rng.randrange(0, 14)
+        if degrees[0] <= min(depth, deg - 1):
+            expected = degrees[0]
+        else:
+            expected = deg if len(degrees) == 1 else None
+        for q in (p, reciprocal(p)):
+            assert gf2poly._smallest_factor_degree(q.bits, depth) == expected, (q, depth)
 
 
 # --- small-factor prefilter ----------------------------------------------------

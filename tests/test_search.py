@@ -150,12 +150,14 @@ def test_survey_no_certified_irreducible_conflict():
 
 
 def test_classify_raises_on_impossible_irreducible(monkeypatch):
-    # force the full test to lie: the residue guard must trip hard, and the
-    # survey must convert the anomaly into an error record instead of dying
+    # force the fused chain to call every polynomial irreducible: the residue
+    # guard must trip hard, and the survey must convert the anomaly into an
+    # error record instead of dying
     import pentaswan.search as search_mod
     from pentaswan.zpoly import ConsistencyError
 
-    monkeypatch.setattr(search_mod.gf2poly, "is_irreducible", lambda p: True)
+    monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree",
+                        lambda p, depth: p.bit_length() - 1)
     with pytest.raises(ConsistencyError):
         classify_shape(PentShape(11, 2), prune=False, prefilter_depth=0)
     records = list(
