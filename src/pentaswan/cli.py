@@ -9,8 +9,8 @@ finding, not a usage problem).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -162,33 +162,37 @@ def _cmd_search(args) -> int:
     if args.format not in ("csv", "jsonl"):
         raise _UsageError("search --format must be csv or jsonl")
     shapes = search.enumerate_shapes(args.n_min, args.n_max, args.s_parity, args.n_parity)
-    kept: list[search.SearchRecord] = []
+    restart, offset, kept = None, 0, []
     if args.resume:
         if not args.out:
             raise _UsageError("--resume needs --out")
         try:
-            with open(args.out) as f:
-                previous = search.read_csv(f) if args.format == "csv" else search.read_jsonl(f)
+            with open(args.out, "rb") as f:
+                restart, offset, kept = search.resume_point(f, args.format)
         except FileNotFoundError:
-            previous = []
-        restart = search.checkpoint_restart_n(previous)
-        if restart is not None:
-            # the last n-column may be partial: redo it, keep everything below
-            kept = [rec for rec in previous if rec.n < restart]
-            shapes = (sh for sh in shapes if sh.n >= restart)
+            pass
+    if restart is not None:
+        # the last n-column may be partial: redo it, and append after the
+        # rows below it, which stay on disk untouched
+        shapes = (sh for sh in shapes if sh.n >= restart)
+        os.truncate(args.out, offset)
     records = search.survey(shapes, prune=not args.no_prune,
                             prefilter_depth=args.prefilter_depth, jobs=args.jobs)
-    writer = search.write_csv if args.format == "csv" else search.write_jsonl
-    errors: list[search.SearchRecord] = []
+    errors = [rec for rec in kept if rec.outcome == search.ERROR]
 
     def stream():
-        for rec in itertools.chain(kept, records):
+        for rec in records:
             if rec.outcome == search.ERROR:
                 errors.append(rec)
             yield rec
 
-    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out:
-        count = writer(stream(), out)
+    mode = "w" if restart is None else "a"
+    with open(args.out, mode, newline="") if args.out else nullcontext(sys.stdout) as out:
+        if args.format == "csv":
+            count = search.write_csv(stream(), out, header=restart is None)
+        else:
+            count = search.write_jsonl(stream(), out)
+    count += len(kept)
     print(f"classified {count} shapes", file=sys.stderr)
     if errors:
         # the rows stay in the output; the exit status must still report them

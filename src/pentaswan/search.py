@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 from . import gf2poly, swan
 from .gf2poly import DEFAULT_PREFILTER_DEPTH, PentShape
@@ -33,6 +33,7 @@ __all__ = [
     "enumerate_shapes",
     "read_csv",
     "read_jsonl",
+    "resume_point",
     "stats",
     "survey",
     "write_csv",
@@ -184,13 +185,15 @@ def survey(
 
 @dataclass
 class SurveyStats:
-    """Aggregates of a survey run; histograms cover irreducible records."""
+    """Aggregates of a survey run; histograms cover irreducible records.
+    ``errors`` counts the error records, which ``total_checked`` includes."""
 
     total_checked: int = 0
     total_irreducible: int = 0
     n_mod8: dict[int, int] | None = None
     s_mod8: dict[int, int] | None = None
     distinct_n_with_irr: int = 0
+    errors: int = 0
 
     @property
     def frequency(self) -> float:
@@ -203,18 +206,20 @@ class SurveyStats:
             "n_mod8": {str(r): self.n_mod8[r] for r in range(8)},
             "s_mod8": {str(r): self.s_mod8[r] for r in range(8)},
             "distinct_n_with_irr": self.distinct_n_with_irr,
+            "errors": self.errors,
             "frequency": self.frequency,
             "arbitrary_poly_baseline": ARBITRARY_POLY_BASELINE,
         }
 
 
 def stats(records: Iterable[SearchRecord]) -> SurveyStats:
-    """Totals, mod-8 histograms over the irreducible records, and the
-    irreducibility frequency among everything checked."""
+    """Totals, mod-8 histograms over the irreducible records, the error
+    count, and the irreducibility frequency among everything checked."""
     n_hist = {r: 0 for r in range(8)}
     s_hist = {r: 0 for r in range(8)}
     total = 0
     irr = 0
+    errors = 0
     irr_ns: set[int] = set()
     for rec in records:
         total += 1
@@ -223,17 +228,21 @@ def stats(records: Iterable[SearchRecord]) -> SurveyStats:
             n_hist[rec.n % 8] += 1
             s_hist[rec.s % 8] += 1
             irr_ns.add(rec.n)
-    return SurveyStats(total, irr, n_hist, s_hist, len(irr_ns))
+        elif rec.outcome == ERROR:
+            errors += 1
+    return SurveyStats(total, irr, n_hist, s_hist, len(irr_ns), errors)
 
 
 # ---------------------------------------------------------------------------
 # flat-file round trips
 # ---------------------------------------------------------------------------
 
-def write_csv(records: Iterable[SearchRecord], out: TextIO) -> int:
-    """Write the survey CSV (header n,s,outcome,elapsed_us); returns rows."""
+def write_csv(records: Iterable[SearchRecord], out: TextIO, header: bool = True) -> int:
+    """Write the survey CSV (header n,s,outcome,elapsed_us, left out when
+    appending to a file that has it); returns rows."""
     w = csv.writer(out)
-    w.writerow(CSV_HEADER)
+    if header:
+        w.writerow(CSV_HEADER)
     count = 0
     for rec in records:
         w.writerow((rec.n, rec.s, rec.outcome, rec.elapsed_us))
@@ -241,15 +250,25 @@ def write_csv(records: Iterable[SearchRecord], out: TextIO) -> int:
     return count
 
 
-def read_csv(src: TextIO) -> list[SearchRecord]:
-    r = csv.reader(src)
-    header = next(r, None)
+def _csv_record(row: list[str]) -> SearchRecord:
+    n, s, outcome, elapsed = row
+    return SearchRecord(int(n), int(s), outcome, int(elapsed))
+
+
+def _jsonl_record(line: str) -> SearchRecord:
+    d = json.loads(line)
+    return SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
+
+
+def _check_csv_header(header: list[str] | None) -> None:
     if header is None or tuple(header) != CSV_HEADER:
         raise ValueError(f"expected CSV header {','.join(CSV_HEADER)}")
-    return [
-        SearchRecord(int(n), int(s), outcome, int(elapsed))
-        for n, s, outcome, elapsed in r
-    ]
+
+
+def read_csv(src: TextIO) -> list[SearchRecord]:
+    r = csv.reader(src)
+    _check_csv_header(next(r, None))
+    return [_csv_record(row) for row in r]
 
 
 def write_jsonl(records: Iterable[SearchRecord], out: TextIO) -> int:
@@ -266,15 +285,42 @@ def write_jsonl(records: Iterable[SearchRecord], out: TextIO) -> int:
 
 
 def read_jsonl(src: TextIO) -> list[SearchRecord]:
-    out = []
-    for line in src:
-        if line.strip():
-            d = json.loads(line)
-            out.append(SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"]))
-    return out
+    return [_jsonl_record(line) for line in src if line.strip()]
 
 
 def checkpoint_restart_n(records: Sequence[SearchRecord]) -> int | None:
     """Where to restart an interrupted append-ordered run: the largest n in
     the file, whose records may be incomplete and must be redone."""
     return max((rec.n for rec in records), default=None)
+
+
+def resume_point(src: BinaryIO, fmt: str) -> tuple[int | None, int, list[SearchRecord]]:
+    """Where to resume the interrupted run whose CSV or JSONL output ``src``
+    holds: (restart, offset, kept).
+
+    ``restart`` is the largest n among the complete rows, or None when there
+    are none; that column may be partial, so it is redone.  ``offset`` is
+    the byte offset of its first row: truncating the file there drops that
+    column and a torn last line (a kill during a write can leave one without
+    its newline), and the run appends.  ``kept`` holds the records before.
+    """
+    rows: list[tuple[int, str]] = []  # (byte offset, text) of complete lines
+    offset = 0
+    for raw in src:
+        if not raw.endswith(b"\n"):
+            break
+        rows.append((offset, raw.decode()))
+        offset += len(raw)
+    if fmt == "csv":
+        if not rows:
+            return None, 0, []
+        _check_csv_header(next(csv.reader([rows.pop(0)[1]])))
+        records = [_csv_record(next(csv.reader([text]))) for _, text in rows]
+    else:
+        rows = [(at, text) for at, text in rows if text.strip()]
+        records = [_jsonl_record(text) for _, text in rows]
+    restart = checkpoint_restart_n(records)
+    if restart is None:
+        return None, 0, []
+    first = next(i for i, rec in enumerate(records) if rec.n == restart)
+    return restart, rows[first][0], records[:first]

@@ -5,7 +5,7 @@ import pytest
 
 from pentaswan import cli
 from pentaswan.gf2poly import PentShape, factor_count, pent_poly
-from pentaswan.search import read_csv, stats, survey, enumerate_shapes
+from pentaswan.search import read_csv, read_jsonl, stats, survey, enumerate_shapes
 from pentaswan.swan import pent_discriminant_closed_form
 from pentaswan.zpoly import lift, power_sums
 
@@ -198,6 +198,48 @@ def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatc
                     (13, 4, "error")]
     assert "3 error rows" in err
     assert "n=11, s=2: ConsistencyError: irreducible (n=11, s=2) with n = 3 (mod 8)" in err
+    code, out, _ = run(capsys, "stats", str(out_path))
+    assert code == 0
+    assert json.loads(out)["errors"] == 3
+
+
+def row_keys(fmt, data: bytes):
+    text = io.StringIO(data.decode(), newline="")
+    return [r.key for r in (read_csv(text) if fmt == "csv" else read_jsonl(text))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_search_resume_after_a_torn_line_appends_and_keeps_rows_in_place(capsys, tmp_path, fmt):
+    out_path = tmp_path / f"torn.{fmt}"
+    args = ("search", "--n-min", "7", "--n-max", "60", "--jobs", "1", "--format", fmt,
+            "--out", str(out_path))
+    run(capsys, *args)
+    direct = out_path.read_bytes()
+    # a kill during a write leaves a partial last line
+    torn = direct[:-7]
+    out_path.write_bytes(torn)
+    *complete, partial = torn.splitlines(keepends=True)
+    assert not partial.endswith(b"\n")
+    header = 1 if fmt == "csv" else 0
+    keys = row_keys(fmt, b"".join(complete))
+    kept = b"".join(complete[:header + sum(n < keys[-1][0] for n, _, _ in keys)])
+    code, _, err = run(capsys, *args, "--resume")
+    assert code == 0 and f"classified {len(row_keys(fmt, direct))} shapes" in err
+    resumed = out_path.read_bytes()
+    assert resumed.startswith(kept)
+    assert row_keys(fmt, resumed) == row_keys(fmt, direct)
+
+
+def test_search_resume_exits_2_on_a_kept_error_row(capsys, tmp_path):
+    out_path = tmp_path / "kept-error.csv"
+    out_path.write_bytes(b"n,s,outcome,elapsed_us\r\n7,2,error,5\r\n9,2,red_thm1,1\r\n9,")
+    code, _, err = run(capsys, "search", "--n-min", "7", "--n-max", "14", "--jobs", "1",
+                       "--out", str(out_path), "--resume")
+    assert code == 2
+    assert "1 error rows, first at n=7, s=2" in err
+    with open(out_path) as f:
+        assert [r.key for r in read_csv(f)] == [(7, 2, "error")] + [
+            r.key for r in survey(enumerate_shapes(9, 14))]
 
 
 def test_search_usage_errors(capsys):

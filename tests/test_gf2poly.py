@@ -1,8 +1,10 @@
+import csv
 import random
+from pathlib import Path
 
 import pytest
 
-from pentaswan import gf2poly
+from pentaswan import gf2poly, search
 from pentaswan.gf2poly import (
     BitPoly,
     ONE,
@@ -246,6 +248,71 @@ def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
             expected = deg if len(degrees) == 1 else None
         for q in (p, reciprocal(p)):
             assert gf2poly._smallest_factor_degree(q.bits, depth) == expected, (q, depth)
+
+
+# --- folded gcds and early exits, against the slow paths they replace ----------
+
+def table2_shapes(n_min):
+    with open(Path(__file__).parent / "data" / "table2.csv") as f:
+        return [(int(r["n"]), int(r["s"])) for r in csv.DictReader(f) if int(r["n"]) >= n_min]
+
+
+def test_fold_matches_rem():
+    rng = random.Random(23)
+    byte_edges = {8 * j + e for j in (2, 4, 16, 64, 128, 255) for e in (-1, 0, 1)}
+    for L in sorted(set(range(1, 17)) | byte_edges | {(1 << k) - 1 for k in range(1, 12)}):
+        values = [0, 1, (1 << L) | 1, (1 << 3000) - 1]
+        for bits in {L - 1, L, L + 1, 2 * L, 2 * L + 1, 8 * L + 8, 3001} - {0}:
+            values.append(rng.getrandbits(bits) | 1 << (bits - 1))  # dense
+            values.append(sum(1 << e for e in rng.sample(range(bits), min(bits, 5))))  # sparse
+        for a in values:
+            assert gf2poly._fold(a, L) == gf2poly._rem(a, (1 << L) | 1), (L, a.bit_length())
+
+
+def exit_factor_pairs():
+    """(d, k) for each early exit k with d > 13 dividing k and no earlier
+    exit, then (d, 0) with d > 13 dividing no exit."""
+    exits = gf2poly._EARLY_EXITS
+    out = []
+    for i, k in enumerate(exits):
+        d = next(d for d in range(14, k) if k % d == 0 and all(e % d for e in exits[:i]))
+        out.append((d, k))
+    out.append((next(d for d in range(14, 100) if all(e % d for e in exits)), 0))
+    return out
+
+
+def random_irreducible(rng, degree):
+    while True:
+        g = (1 << degree) | rng.getrandbits(degree) | 1
+        if len(oracles.naive_factors(g)) == 1:
+            return g
+
+
+def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
+    # g * P with P the first table2 irreducible of degree >= max(721, 2k),
+    # so that the exit at k is taken; g is X, or an irreducible of degree
+    # > 13 dividing the exit k, or one dividing no exit (the full chain decides)
+    rng = random.Random(24)
+    table = sorted(table2_shapes(721))
+    cases = [(2, 0)] + [(random_irreducible(rng, d), k) for d, k in exit_factor_pairs()]
+    for g, k in cases:
+        n, s = next((n, s) for n, s in table if n >= 2 * k)
+        p = gf2poly._mul(g, pent_poly(PentShape(n, s)).bits)
+        expected = 1 if g == 2 else None
+        assert gf2poly._smallest_factor_degree(p, 13) == expected, (n, s, g)
+        assert not is_irreducible(BitPoly(p)), (n, s, g)
+        if g != 2:
+            monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
+            assert search.classify_shape(PentShape(n, s)) == ("red_full", None), (n, s, g)
+            monkeypatch.undo()
+
+
+def test_table2_irreducibles_above_720_stay_irreducible():
+    for n, s in random.Random(25).sample(table2_shapes(721), 8):
+        p = pent_poly(PentShape(n, s))
+        assert gf2poly._smallest_factor_degree(p.bits, 13) == n, (n, s)
+        assert is_irreducible(p), (n, s)
+        assert search.classify_shape(PentShape(n, s)) == ("irr", None), (n, s)
 
 
 # --- small-factor prefilter ----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from pentaswan.gf2poly import PentShape
 from pentaswan.search import (
     CSV_HEADER,
+    ERROR,
     IRREDUCIBLE,
     REDUCIBLE_FULL_TEST,
     REDUCIBLE_SMALL_FACTOR,
@@ -16,6 +17,7 @@ from pentaswan.search import (
     enumerate_shapes,
     read_csv,
     read_jsonl,
+    resume_point,
     stats,
     survey,
     write_csv,
@@ -203,7 +205,19 @@ def test_stats_empty_stream():
         "distinct_n_with_irr",
         "frequency",
         "arbitrary_poly_baseline",
+        "errors",
     }
+
+
+def test_stats_counts_error_rows():
+    clean = stats(sample_records()).to_json_dict()
+    failed = [SearchRecord(13, 2, ERROR, 5), SearchRecord(13, 4, ERROR, 6)]
+    agg = stats(sample_records() + failed)
+    assert agg.errors == 2 and clean["errors"] == 0
+    payload = agg.to_json_dict()
+    assert payload["errors"] == 2 and payload["total_checked"] == 5
+    for key in ("total_irreducible", "n_mod8", "s_mod8", "distinct_n_with_irr"):
+        assert payload[key] == clean[key], key
 
 
 # --- flat files -------------------------------------------------------------------
@@ -243,3 +257,22 @@ def test_jsonl_round_trip():
 def test_checkpoint_restart():
     assert checkpoint_restart_n([]) is None
     assert checkpoint_restart_n(sample_records()) == 11
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_resume_point_cuts_before_the_last_column_and_a_torn_line(fmt):
+    records = sample_records() + [SearchRecord(11, 4, REDUCIBLE_THM1, 2)]
+    buf = io.StringIO(newline="")
+    (write_csv if fmt == "csv" else write_jsonl)(records, buf)
+    data = buf.getvalue().encode()
+    lines = data.splitlines(keepends=True)
+    head = len(lines) - 2  # the two n = 11 rows end the file
+    before = len(b"".join(lines[:head]))
+    for torn in (b"", b"13,2,ir", b'{"n": 13'):
+        restart, offset, kept = resume_point(io.BytesIO(data + torn), fmt)
+        assert (restart, offset) == (11, before)
+        assert [r.key for r in kept] == [r.key for r in records[:2]]
+    # one complete row of the last column, then a torn line
+    restart, offset, kept = resume_point(io.BytesIO(b"".join(lines[:head + 1]) + b"1"), fmt)
+    assert (restart, offset, len(kept)) == (11, before, 2)
+    assert resume_point(io.BytesIO(b"".join(lines[:-4]) + lines[-4][:3]), fmt) == (None, 0, [])
