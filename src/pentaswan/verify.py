@@ -6,18 +6,19 @@ closed-form discriminant vs. exact resultant).  A clean run returns zero
 failures; any failure would be a genuine finding, since the closed forms
 are supposed to be theorems.
 
-The sweeps over many n are sharded by n across a process pool, mirroring
-the search harness.
+Every suite maps a column function over n and merges the columns in n
+order, which the ordered map keeps at any ``jobs``.  The discriminant and
+power-sum suites take no ``jobs`` and sweep in process (about 0.1 s each).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import gf2poly, swan, zpoly
+from ._pool import pool_map
 from .gf2poly import PentShape
 
 __all__ = [
@@ -54,13 +55,14 @@ class CheckResult:
         return line
 
 
-def _pool_map(fn: Callable, items: list, jobs: int | None):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return map(fn, items)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _sweep(result: CheckResult, column: Callable, ns: range, jobs: int | None) -> CheckResult:
+    """Merge ``column(n)``, a (checked, failures, notes) triple, for every n
+    of ``ns`` into ``result``, in n order."""
+    for checked, failures, notes in pool_map(column, ns, jobs):
+        result.checked += checked
+        result.failures.extend(failures)
+        result.notes.extend(notes)
+    return result
 
 
 def _even_s_values(n: int) -> range:
@@ -90,16 +92,10 @@ def pent_parity_agreement(n_max: int = 500, jobs: int | None = 1) -> CheckResult
     """Closed-form parity vs. brute-force factor count, for every odd n in
     [7, n_max) and even s with n > 3s."""
     result = CheckResult("pentanomial parity: closed form vs factor count")
-    for checked, failures, notes in _pool_map(
-        _parity_column, [n for n in range(7, n_max, 2)], jobs
-    ):
-        result.checked += checked
-        result.failures.extend(failures)
-        result.notes.extend(notes)
-    return result
+    return _sweep(result, _parity_column, range(7, n_max, 2), jobs)
 
 
-def _thm1_column(n: int) -> tuple[int, list[str]]:
+def _thm1_column(n: int) -> tuple[int, list[str], list[str]]:
     checked = 0
     failures = []
     for s in _even_s_values(n):
@@ -109,17 +105,31 @@ def _thm1_column(n: int) -> tuple[int, list[str]]:
         checked += 1
         if gf2poly.is_irreducible(gf2poly.pent_poly(shape)):
             failures.append(f"(n={n}, s={s}): certified reducible but irreducible")
-    return checked, failures
+    return checked, failures, []
 
 
 def thm1_soundness(n_max: int = 500, jobs: int | None = 1) -> CheckResult:
     """Every shape certified reducible by the closed form must fail the
     irreducibility test; covers both parities of n (even s only)."""
     result = CheckResult("reducibility certificates vs irreducibility test")
-    for checked, failures in _pool_map(_thm1_column, list(range(7, n_max)), jobs):
-        result.checked += checked
-        result.failures.extend(failures)
-    return result
+    return _sweep(result, _thm1_column, range(7, n_max), jobs)
+
+
+def _disc_column(n: int) -> tuple[int, list[str], list[str]]:
+    failures = []
+    expected = 1 if n % 8 in (1, 7) else 5
+    for s in _even_s_values(n):
+        shape = PentShape(n, s)
+        F = zpoly.lift(gf2poly.pent_poly(shape))
+        closed = swan.pent_discriminant_closed_form(shape)
+        exact = zpoly.discriminant_mod8(F)
+        classical = zpoly.discriminant_mod8_via_derivative(F)
+        if not closed == exact == classical == expected:
+            failures.append(
+                f"(n={n}, s={s}): closed {closed}, resultant {exact}, "
+                f"derivative {classical}, expected {expected}"
+            )
+    return len(_even_s_values(n)), failures, []
 
 
 def discriminant_agreement(n_max: int = 60) -> CheckResult:
@@ -127,45 +137,48 @@ def discriminant_agreement(n_max: int = 60) -> CheckResult:
     the root-product form and the classical derivative form), for odd n <=
     n_max, even s."""
     result = CheckResult("discriminant mod 8: closed form vs exact resultant")
-    for n in range(7, n_max + 1, 2):
-        for s in _even_s_values(n):
-            shape = PentShape(n, s)
-            F = zpoly.lift(gf2poly.pent_poly(shape))
-            closed = swan.pent_discriminant_closed_form(shape)
-            exact = zpoly.discriminant_mod8(F)
-            classical = zpoly.discriminant_mod8_via_derivative(F)
-            expected = 1 if n % 8 in (1, 7) else 5
-            result.checked += 1
-            if not closed == exact == classical == expected:
-                result.failures.append(
-                    f"(n={n}, s={s}): closed {closed}, resultant {exact}, "
-                    f"derivative {classical}, expected {expected}"
-                )
-    return result
+    return _sweep(result, _disc_column, range(7, n_max + 1, 2), 1)
 
 
-def _trinomial_column(n: int) -> tuple[int, list[str]]:
-    checked = 0
+def _trinomial_column(n: int) -> tuple[int, list[str], list[str]]:
     failures = []
-    for k in range(1, n):
-        if (n + k) % 2 == 0:
-            continue
+    ks = range(1 + n % 2, n, 2)  # 0 < k < n, exactly one of n, k odd
+    for k in ks:
         predicted = swan.trinomial_parity(n, k).parity
         observed = gf2poly.factor_count(gf2poly.BitPoly.from_exponents([n, k, 0])).parity
-        checked += 1
         if predicted != observed:
             failures.append(f"(n={n}, k={k}): predicted {predicted}, observed {observed}")
-    return checked, failures
+    return len(ks), failures, []
 
 
 def trinomial_agreement(n_max: int = 300, jobs: int | None = 1) -> CheckResult:
     """Swan's trinomial cases vs. brute-force parity of X^n + X^k + 1 for
     all n <= n_max, 0 < k < n, exactly one of n, k odd."""
     result = CheckResult("trinomial parity: closed form vs factor count")
-    for checked, failures in _pool_map(_trinomial_column, list(range(2, n_max + 1)), jobs):
-        result.checked += checked
-        result.failures.extend(failures)
-    return result
+    return _sweep(result, _trinomial_column, range(2, n_max + 1), jobs)
+
+
+def _powersum_column(n: int, pair_max: int) -> tuple[int, list[str], list[str]]:
+    failures = []
+    deep = n <= pair_max
+    for s in _even_s_values(n):
+        F = zpoly.lift(gf2poly.pent_poly(PentShape(n, s)))
+        table = zpoly.power_sums(F, 2 * n - 2 * s if deep else 2 * n - 4 * s)
+        bad = []
+        if any(table[n - k * s] != 0 for k in (1, 2, 3)):
+            bad.append("S_{n-ks} != 0")
+        if table[2 * n - 4 * s] % 2:
+            bad.append("S_{2n-4s} odd")
+        if deep:
+            if table[2 * n - 2 * s] != table[2 * n - 6 * s]:
+                bad.append("S_{2n-2s} != S_{2n-6s}")
+            if zpoly.second_power_sums(table, n - s) != zpoly.second_power_sums(
+                table, n - 3 * s
+            ):
+                bad.append("T_{n-s} != T_{n-3s}")
+        if bad:
+            failures.append(f"(n={n}, s={s}): {', '.join(bad)}")
+    return len(_even_s_values(n)), failures, []
 
 
 def power_sum_identities(n_max: int = 200, pair_max: int = 120) -> CheckResult:
@@ -173,28 +186,7 @@ def power_sum_identities(n_max: int = 200, pair_max: int = 120) -> CheckResult:
     even s: S_{n-s} = S_{n-2s} = S_{n-3s} = 0 and S_{2n-4s} even for
     n < n_max; S_{2n-2s} = S_{2n-6s} and T_{n-s} = T_{n-3s} for n <= pair_max."""
     result = CheckResult("power-sum identities of the pentanomial lift")
-    for n in range(7, n_max, 2):
-        for s in _even_s_values(n):
-            shape = PentShape(n, s)
-            F = zpoly.lift(gf2poly.pent_poly(shape))
-            deep = n <= pair_max
-            table = zpoly.power_sums(F, 2 * n - 2 * s if deep else 2 * n - 4 * s)
-            result.checked += 1
-            bad = []
-            if any(table[n - k * s] != 0 for k in (1, 2, 3)):
-                bad.append("S_{n-ks} != 0")
-            if table[2 * n - 4 * s] % 2:
-                bad.append("S_{2n-4s} odd")
-            if deep:
-                if table[2 * n - 2 * s] != table[2 * n - 6 * s]:
-                    bad.append("S_{2n-2s} != S_{2n-6s}")
-                if zpoly.second_power_sums(table, n - s) != zpoly.second_power_sums(
-                    table, n - 3 * s
-                ):
-                    bad.append("T_{n-s} != T_{n-3s}")
-            if bad:
-                result.failures.append(f"(n={n}, s={s}): {', '.join(bad)}")
-    return result
+    return _sweep(result, partial(_powersum_column, pair_max=pair_max), range(7, n_max, 2), 1)
 
 
 def run_all(

@@ -1,13 +1,24 @@
 import io
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import pentaswan
 from pentaswan import cli
 from pentaswan.gf2poly import PentShape, factor_count, pent_poly
 from pentaswan.search import read_csv, read_jsonl, stats, survey, enumerate_shapes
 from pentaswan.swan import pent_discriminant_closed_form
 from pentaswan.zpoly import lift, power_sums
+
+
+SRC = str(Path(pentaswan.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -240,6 +251,50 @@ def test_search_resume_exits_2_on_a_kept_error_row(capsys, tmp_path):
     with open(out_path) as f:
         assert [r.key for r in read_csv(f)] == [(7, 2, "error")] + [
             r.key for r in survey(enumerate_shapes(9, 14))]
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_search_usage_error_leaves_the_out_file_untouched(capsys, tmp_path, resume):
+    out_path = tmp_path / "kept.csv"
+    run(capsys, "search", "--n-min", "7", "--n-max", "30", "--jobs", "1", "--out", str(out_path))
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", "--n-min", "3", "--n-max", "30", "--jobs", "1",
+                       "--out", str(out_path), *(["--resume"] if resume else []))
+    assert code == 1 and "n_lo must be at least 7" in err
+    assert out_path.read_bytes() == before
+
+
+def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
+    # kill a real run once its file passes a seeded size (the file grows a
+    # buffer at a time, so the kill usually tears a line), then resume it
+    one_shot = tmp_path / "one-shot.csv"
+    args = ["search", "--n-min", "7", "--n-max", "400", "--jobs", "1"]
+    run(capsys, *args, "--out", str(one_shot))
+    direct = one_shot.read_bytes()
+    cut = random.Random(2024).randrange(len(direct) // 10, len(direct) * 2 // 3)
+    out_path = tmp_path / "killed.csv"
+    command = [sys.executable, "-m", "pentaswan.cli", *args, "--out", str(out_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(command, env=env, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120
+    try:
+        while proc.poll() is None and (not out_path.exists() or out_path.stat().st_size < cut):
+            assert time.monotonic() < deadline, "the run never reached the cut"
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    killed = out_path.read_bytes()
+    assert cut <= len(killed) < len(direct)
+    complete = [line for line in killed.splitlines(keepends=True) if line.endswith(b"\n")]
+    keys = row_keys("csv", b"".join(complete))
+    kept = b"".join(complete[:1 + sum(n < keys[-1][0] for n, _, _ in keys)])
+    resumed = subprocess.run(command + ["--resume"], env=env, stderr=subprocess.DEVNULL,
+                             timeout=120)
+    assert resumed.returncode == 0
+    assert out_path.read_bytes().startswith(kept)
+    assert row_keys("csv", out_path.read_bytes()) == row_keys("csv", direct)
 
 
 def test_search_usage_errors(capsys):

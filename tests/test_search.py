@@ -23,6 +23,7 @@ from pentaswan.search import (
     write_csv,
     write_jsonl,
 )
+from pentaswan.search import _SHAPES_PER_TASK
 
 
 # --- enumeration ------------------------------------------------------------
@@ -46,12 +47,13 @@ def test_enumerate_empty_range_is_empty():
 
 
 def test_enumerate_validation():
+    # the call itself raises, before a caller acts on the shapes to come
     with pytest.raises(ValueError):
-        list(enumerate_shapes(5, 10))
+        enumerate_shapes(5, 10)
     with pytest.raises(ValueError):
-        list(enumerate_shapes(7, 10, "both"))
+        enumerate_shapes(7, 10, "both")
     with pytest.raises(ValueError):
-        list(enumerate_shapes(7, 10, "even", "even"))
+        enumerate_shapes(7, 10, "even", "even")
 
 
 def test_enumerate_census_small():
@@ -128,10 +130,31 @@ def test_survey_count_conservation_and_order():
 
 
 def test_survey_worker_count_invariance():
-    shapes = list(enumerate_shapes(7, 120))
-    seq = [r.key for r in survey(iter(shapes), jobs=1)]
-    par = [r.key for r in survey(iter(shapes), jobs=2)]
-    assert seq == par
+    # whole records bar elapsed_us, over many pool tasks
+    for s_parity, prune in [("even", True), ("even", False), ("odd", True)]:
+        shapes = list(enumerate_shapes(7, 120, s_parity, "all"))
+        seq, *pooled = [
+            [(r.key, r.factor_bound, r.message)
+             for r in survey(iter(shapes), prune=prune, jobs=jobs)]
+            for jobs in (1, 2, 3)
+        ]
+        assert len(seq) == len(shapes) > 10 * _SHAPES_PER_TASK
+        assert pooled == [seq, seq]
+
+
+def test_serial_survey_pulls_one_shape_per_record():
+    # the per-shape timings of a jobs=1 caller rely on this laziness
+    pulled = []
+
+    def shapes():
+        for sh in enumerate_shapes(7, 40):
+            pulled.append(sh)
+            yield sh
+
+    for count, rec in enumerate(survey(shapes(), jobs=1), 1):
+        assert len(pulled) == count
+        assert (rec.n, rec.s) == (pulled[-1].n, pulled[-1].s)
+    assert count == len(list(enumerate_shapes(7, 40)))
 
 
 def test_survey_prune_does_not_change_irreducibles():

@@ -8,6 +8,7 @@ from pentaswan.gf2poly import (
     is_squarefree,
     pent_poly,
 )
+from pentaswan.search import enumerate_shapes
 from pentaswan.swan import (
     OutOfTheoryError,
     ParityVerdict,
@@ -18,6 +19,7 @@ from pentaswan.swan import (
     thm1_reducible,
     trinomial_parity,
 )
+from pentaswan.zpoly import discriminant_mod8, lift
 
 
 def even_s_range(n):
@@ -160,6 +162,20 @@ def test_pent_parity_brute_force_small():
             p = pent_poly(shape)
             assert is_squarefree(p), shape
             assert brute_force_parity(p).parity == pent_parity(shape).parity, shape
+
+
+def test_odd_gap_bridge_matches_brute_force():
+    # no closed form covers odd s, so the bridge is the only shortcut there:
+    # every odd-s shape with 7 <= n < 120, either parity of n (1,177 shapes,
+    # all squarefree; about 2 s).  The same check over n < 201 (3,330
+    # shapes) also agreed, but takes about 29 s.
+    shapes = list(enumerate_shapes(7, 120, s_parity="odd", n_parity="all"))
+    assert len(shapes) == 1177
+    for shape in shapes:
+        p = pent_poly(shape)
+        assert is_squarefree(p), shape
+        bridged = parity_from_discriminant(shape.n, discriminant_mod8(lift(p)))
+        assert bridged.parity == brute_force_parity(p).parity, shape
 
 
 def test_thm1_soundness_small():
