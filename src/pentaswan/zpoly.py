@@ -2,9 +2,10 @@
 
 Everything here is arbitrary-precision and exact: power sums of the roots
 via Newton's identities (optionally reduced mod 2^k), negative-index power
-sums via a truncated formal power series, resultants via the fraction-free
-subresultant remainder sequence, and the polynomial discriminant reduced
-mod 8 only after it has been computed exactly in Z.
+sums via a truncated formal power series, resultants via the subresultant
+remainder sequence with Ducos's steps and Lazard's powers (every division
+exact and checked), and the polynomial discriminant reduced mod 8 only
+after it has been computed exactly in Z.
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -15,6 +16,7 @@ power sum regardless of the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Mapping
 
 from .gf2poly import BitPoly
@@ -288,17 +290,6 @@ def neg_power_sums(F: IntPoly, count: int) -> list[int]:
 # resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def _content(coeffs: list[int]) -> int:
-    from math import gcd as igcd
-
-    g = 0
-    for c in coeffs:
-        g = igcd(g, c)
-        if g == 1:
-            break
-    return g or 1
-
-
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     # lc(b)^(deg a - deg b + 1) * a modulo b, dense low-to-high lists
     da, db = len(a) - 1, len(b) - 1
@@ -318,6 +309,13 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _quo(c: int, d: int) -> int:
+    q, rr = divmod(c, d)
+    if rr:
+        raise ConsistencyError("subresultant division was not exact")
+    return q
+
+
 def _exact_div(coeffs: list[int], d: int) -> list[int]:
     out = []
     for c in coeffs:
@@ -328,9 +326,55 @@ def _exact_div(coeffs: list[int], d: int) -> list[int]:
     return out
 
 
+def _scale(p: list[int], num: int, den: int) -> list[int]:
+    # num * p / den, exactly; one scalar division when den divides num
+    q, rr = divmod(num, den)
+    return _exact_div([num * c for c in p], den) if rr else [q * c for c in p]
+
+
+def _lazard(x: int, y: int, n: int) -> int:
+    """x^n / y^(n-1) for n >= 1 (Lazard): square-and-multiply with a checked
+    exact division by y after every product.  Each x^k / y^(k-1) on the way
+    is integral when the result is, so nothing outgrows the result."""
+    c = x
+    for bit in bin(n)[3:]:
+        c = _quo(c * c, y)
+        if bit == "1":
+            c = _quo(c * x, y)
+    return c
+
+
+def _ducos_rem(a: list[int], b: list[int], h: int) -> tuple[list[int], int]:
+    """Ducos's step (J. Pure Appl. Algebra 145 (2000) 149-163) on consecutive
+    chain members a, b (dense, deg b >= 1) with principal coefficient h:
+    prem(a, b) / (lc(a) * h^delta) and the next principal coefficient
+    lc(b)^delta / h^(delta-1), with intermediates about the size of the
+    chain's own coefficients.  A pair outside a chain fails a checked division."""
+    d, e = len(a) - 1, len(b) - 1
+    lb, low = b[-1], b[:e]
+    c = _lazard(lb, h, d - e)
+    hj = _scale(low, -c, lb)  # H_e = c*X^e - c*b/lc(b)
+    acc = [c * x for x in a[:e]]  # c * (a mod X^e) + sum of a_j * H_j
+    for j in range(e, d):
+        if a[j]:
+            acc = [s + a[j] * y for s, y in zip(acc, hj)]
+        t, xh = hj[-1], [0] + hj[:-1]  # X*H_j = t*X^e + xh
+        if j < d - 1:  # H_(j+1) = X*H_j - t*b/lc(b)
+            hj = [y - z for y, z in zip(xh, _scale(low, t, lb))] if t else xh
+    quo = _exact_div(acc, a[-1])
+    r = _exact_div([lb * (x + y) - t * z for x, y, z in zip(quo, xh, low)], h)
+    while r and r[-1] == 0:
+        r.pop()
+    return r, c
+
+
 def resultant(A: IntPoly, B: IntPoly) -> int:
-    """Exact resultant of A and B over Z, by the fraction-free subresultant
-    pseudo-remainder sequence.
+    """Exact resultant of A and B over Z, by the subresultant remainder
+    sequence: contents split off, a plain pseudo-remainder as the entry
+    step, then Ducos's steps (:func:`_ducos_rem`), which give Brown-Traub's
+    exact remainders without their lc(b)^(delta+1) blow-up, and Lazard's
+    powers for the principal coefficients and the final constant.  Every
+    division is checked; an inexact one raises ConsistencyError.
 
     For monic A with roots a_1..a_n (with multiplicity), this equals the
     product of B(a_i), which is what makes it an independent check on
@@ -350,32 +394,22 @@ def resultant(A: IntPoly, B: IntPoly) -> int:
     if len(b) == 1:
         return sign * b[0] ** (len(a) - 1)
     # contents: res(A, B) = cont(A)^deg B * cont(B)^deg A * res(prim A, prim B)
-    ca, cb = _content(a), _content(b)
+    ca, cb = gcd(*a), gcd(*b)
     t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     if ca != 1:
         a = [c // ca for c in a]
     if cb != 1:
         b = [c // cb for c in b]
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & 1 and db & 1:
+    if (len(a) - 1) & (len(b) - 1) & 1:
+        sign = -sign
+    a, b, h = b, _pseudo_rem(a, b), b[-1] ** (len(a) - len(b))  # entry: g = h = 1
+    while len(b) > 1:
+        if (len(a) - 1) & (len(b) - 1) & 1:
             sign = -sign
-        r = _pseudo_rem(a, b)
-        if not r:
-            return 0  # nontrivial common factor
-        a, b = b, _exact_div(r, g * h**delta)
-        g = a[-1]
-        if delta:
-            num = g**delta
-            h = num if h == 1 else _exact_div([num], h ** (delta - 1))[0]
-        if len(b) == 1:
-            break
-    da = len(a) - 1
-    num = b[0] ** da
-    res = num if h == 1 else _exact_div([num], h ** (da - 1))[0]
-    return sign * t * res
+        a, (b, h) = b, _ducos_rem(a, b, h)
+    if not b:
+        return 0  # nontrivial common factor
+    return sign * t * _lazard(b[0], h, len(a) - 1)
 
 
 def _disc_sign(n: int) -> int:

@@ -7,6 +7,8 @@ so they share no code path with the algorithms under test.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def poly_divmod_bits(a: int, m: int) -> tuple[int, int]:
     dm = m.bit_length() - 1
@@ -124,6 +126,83 @@ def sylvester_resultant(a: list[int], b: list[int]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def brown_traub_resultant(a: list[int], b: list[int]) -> int:
+    """Resultant of a monic a and a nonzero b (dense low-to-high, no
+    trailing zeros) by the classical Brown-Traub subresultant sequence:
+    every step forms the full pseudo-remainder lc(b)^(delta+1) * a mod b
+    and then divides out g * h^delta.  This is the slow path that Ducos's
+    steps replaced in zpoly.resultant, kept as it was, with its own copies
+    of the helpers."""
+
+    def content(coeffs):
+        g = 0
+        for c in coeffs:
+            g = gcd(g, c)
+            if g == 1:
+                break
+        return g or 1
+
+    def pseudo_rem(a, b):
+        da, db = len(a) - 1, len(b) - 1
+        lb = b[-1]
+        r = list(a)
+        for top in range(da, db - 1, -1):
+            lead = r[top]
+            for i in range(top):
+                r[i] *= lb
+            if lead:
+                off = top - db
+                for i in range(db):
+                    r[off + i] -= lead * b[i]
+            r[top] = 0
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    def exact_div(coeffs, d):
+        out = []
+        for c in coeffs:
+            q, rr = divmod(c, d)
+            if rr:
+                raise AssertionError("subresultant division was not exact")
+            out.append(q)
+        return out
+
+    sign = 1
+    if len(a) < len(b):
+        if ((len(a) - 1) * (len(b) - 1)) & 1:
+            sign = -sign
+        a, b = b, a
+    if len(b) == 1:
+        return sign * b[0] ** (len(a) - 1)
+    ca, cb = content(a), content(b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    if ca != 1:
+        a = [c // ca for c in a]
+    if cb != 1:
+        b = [c // cb for c in b]
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & 1 and db & 1:
+            sign = -sign
+        r = pseudo_rem(a, b)
+        if not r:
+            return 0  # nontrivial common factor
+        a, b = b, exact_div(r, g * h**delta)
+        g = a[-1]
+        if delta:
+            num = g**delta
+            h = num if h == 1 else exact_div([num], h ** (delta - 1))[0]
+        if len(b) == 1:
+            break
+    da = len(a) - 1
+    num = b[0] ** da
+    res = num if h == 1 else exact_div([num], h ** (da - 1))[0]
+    return sign * t * res
 
 
 def companion_power_traces(coeffs: list[int], m_max: int) -> list[int]:

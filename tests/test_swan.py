@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pentaswan.gf2poly import (
@@ -171,6 +173,21 @@ def test_odd_gap_bridge_matches_brute_force():
     # shapes) also agreed, but takes about 29 s.
     shapes = list(enumerate_shapes(7, 120, s_parity="odd", n_parity="all"))
     assert len(shapes) == 1177
+    for shape in shapes:
+        p = pent_poly(shape)
+        assert is_squarefree(p), shape
+        bridged = parity_from_discriminant(shape.n, discriminant_mod8(lift(p)))
+        assert bridged.parity == brute_force_parity(p).parity, shape
+
+
+def test_odd_gap_bridge_matches_brute_force_sample_above_120():
+    # a seeded sample of 120 odd-s shapes with 120 <= n < 300, either
+    # parity of n, where the exact resultants take steps with wide degree
+    # gaps on coefficients of up to about 2,400 bits (the chain of (299, 49)
+    # has gaps of 98, 44, 34 and 24); about 13 ms a shape
+    shapes = random.Random(31).sample(
+        list(enumerate_shapes(120, 300, s_parity="odd", n_parity="all")), 120
+    )
     for shape in shapes:
         p = pent_poly(shape)
         assert is_squarefree(p), shape

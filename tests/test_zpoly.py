@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from pentaswan import zpoly
 from pentaswan.gf2poly import BitPoly, PentShape, pent_poly
 from pentaswan.zpoly import (
     ConsistencyError,
@@ -230,6 +233,122 @@ def test_resultant_matches_sylvester_determinant():
             continue
         expected = oracles.sylvester_resultant(A.to_dense(), B.to_dense())
         assert resultant(A, B) == expected, (A, B)
+
+
+@pytest.fixture
+def ducos_steps(monkeypatch):
+    """Records (a, b, h) of every Ducos step that resultant takes."""
+    steps = []
+    step = zpoly._ducos_rem
+
+    def recording(a, b, h):
+        steps.append((a, b, h))
+        return step(a, b, h)
+
+    monkeypatch.setattr(zpoly, "_ducos_rem", recording)
+    return steps
+
+
+def gap_steps(steps):
+    """How many steps had a degree gap deg a - deg b of at least 2."""
+    return sum(len(a) - len(b) >= 2 for a, b, _ in steps)
+
+
+def brown_traub(A, B):
+    return oracles.brown_traub_resultant(A.to_dense(), B.to_dense())
+
+
+def test_resultant_matches_brown_traub_on_every_small_shape(ducos_steps):
+    # every pentanomial lift with 7 <= n < 80, either parity of s, against
+    # both discriminant routes: sparse, so the chains have degree gaps
+    checked = 0
+    for n in range(7, 80):
+        for s in range(1, (n - 1) // 3 + 1):
+            F = pent_lift(n, s)
+            for B in (h_poly(F), F.derivative()):
+                assert resultant(F, B) == brown_traub(F, B), (n, s)
+                checked += 1
+    assert checked == 2 * sum((n - 1) // 3 for n in range(7, 80))
+    assert gap_steps(ducos_steps) > 1000
+
+
+def random_int_poly(rng, deg, kind, monic):
+    if kind == "sparse":
+        exps = {deg, 0} | {rng.randrange(deg + 1) for _ in range(rng.randrange(4))}
+        terms = [(e, rng.choice([-3, -2, -1, 1, 2, 3])) for e in exps]
+    else:
+        bound = 10 if kind == "dense" else 1 << 16
+        terms = [(e, rng.randrange(-bound, bound)) for e in range(deg + 1)]
+    lead = 1 if monic else rng.choice([-1, 1]) * rng.randrange(1, 13)
+    return IntPoly([(e, c) for e, c in terms if e < deg] + [(deg, lead)])
+
+
+def random_pair(rng, i):
+    kind = ("sparse", "dense", "large")[i % 3]
+    case = ("plain", "equal", "common")[i // 3 % 3]
+    if case == "common":  # a planted common factor P: the resultant is 0
+        P = random_int_poly(rng, rng.randrange(1, 6), kind, monic=True)
+        A = P * random_int_poly(rng, rng.randrange(1, 30), kind, monic=True)
+        return A, P * random_int_poly(rng, rng.randrange(0, 30), kind, monic=False), 0
+    da = rng.randrange(1, 60)
+    db = da if case == "equal" else rng.randrange(0, 60)
+    A = random_int_poly(rng, da, kind, monic=True)
+    return A, random_int_poly(rng, db, kind, monic=False), None
+
+
+def test_resultant_matches_brown_traub_on_random_pairs(ducos_steps):
+    rng = random.Random(27)
+    zeros = 0
+    for i in range(1080):
+        A, B, expected = random_pair(rng, i)
+        value = resultant(A, B)
+        assert value == brown_traub(A, B), (i, A, B)
+        if expected is not None:
+            assert value == expected, (i, A, B)
+            zeros += 1
+    assert zeros == 360
+    assert gap_steps(ducos_steps) > 100
+
+
+def test_ducos_step_raises_on_a_pair_outside_a_chain(ducos_steps):
+    F = pent_lift(79, 13)
+    resultant(F, h_poly(F))
+    a, b, h = next((a, b, h) for a, b, h in ducos_steps if len(a) - len(b) >= 2)
+    r, c = zpoly._ducos_rem(a, b, h)
+    assert r and c
+    with pytest.raises(ConsistencyError):
+        zpoly._ducos_rem(a, b, h * 1000003)  # wrong h
+    with pytest.raises(ConsistencyError):
+        zpoly._ducos_rem(a[:-1] + [a[-1] * 1000003], b, h)  # wrong g = lc(a)
+
+
+def test_lazard_equals_the_power_quotient():
+    rng = random.Random(28)
+    for n in range(1, 21):
+        y = rng.randrange(2, 1 << 40)
+        x = y * rng.randrange(1, 1 << 40)
+        assert zpoly._lazard(x, y, n) == x**n // y ** (n - 1)
+        # y does not divide x, yet x^n / y^(n-1) is integral for n <= 20
+        assert zpoly._lazard(5 * 6**19, 6**20, n) == (5 * 6**19) ** n // 6 ** (20 * (n - 1))
+    assert zpoly._lazard(7, 1, 20) == 7**20
+    with pytest.raises(ConsistencyError):
+        zpoly._lazard(5 * 6**19, 6**20, 21)
+
+
+def monic_polys(min_degree):
+    return st.lists(st.integers(-20, 20), min_size=min_degree, max_size=12).map(
+        lambda low: IntPoly.from_dense(low + [1])
+    )
+
+
+@seed(29)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(monic_polys(1), monic_polys(0), monic_polys(0))
+def test_resultant_is_multiplicative_and_antisymmetric(A, B, C):
+    assert resultant(A, B * C) == resultant(A, B) * resultant(A, C)
+    if B.degree >= 1:
+        sign = -1 if (A.degree * B.degree) & 1 else 1
+        assert resultant(A, B) == sign * resultant(B, A)
 
 
 def test_resultant_validation():
