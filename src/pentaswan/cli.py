@@ -223,8 +223,9 @@ def _cmd_verify(args) -> int:
         trinomial_max=args.trinomial_max, powersum_max=args.powersum_max,
         pair_max=args.pair_max, jobs=args.jobs,
     )
-    for r in results:
-        print(r.summary())
+    _emit(args, "\n".join(r.summary() for r in results),
+          {"suites": [{"name": r.name, "checked": r.checked, "ok": r.ok,
+                       "failures": r.failures, "notes": r.notes} for r in results]})
     return 0 if all(r.ok for r in results) else INVARIANT_VIOLATION
 
 
@@ -292,6 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("--powersum-max", type=int, default=200)
     p.add_argument("--pair-max", type=int, default=120)
     p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--format", choices=("human", "json"), default="human")
 
     return parser
 

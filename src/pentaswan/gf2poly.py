@@ -15,6 +15,8 @@ maps, and a sparse modulus such as X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
 costs a handful of shifted XORs per top-gap step, run on p or on its
 reciprocal, whichever has the larger gap.  One chain per polynomial serves
 the small-factor prefilter (folded gcds) and Rabin's test (early exits).
+Factor counts take no chain and no gcd: each squarefree part is counted by
+Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part.
 """
 
 from __future__ import annotations
@@ -250,25 +252,27 @@ def _chain_ctx(p: int) -> _ReduceCtx:
 
 
 def _count_factors_squarefree(g: int) -> int:
-    """Number of irreducible factors of squarefree g, by distinct-degree
-    splitting: at step d, gcd(X^(2^d) - X, remaining) collects the product
-    of all irreducible factors of degree exactly d."""
-    count = 0
-    ctx = _chain_ctx(g)
-    remaining = ctx.m
-    h = 2
-    d = 0
-    while _degree(remaining) > 0:
-        if 2 * (d + 1) > _degree(remaining):
-            count += 1
-            break
-        d += 1
-        h = ctx.sqr_mod(h)
-        part = _gcd(h ^ 2, remaining)
-        if part != 1:
-            count += _degree(part) // d
-            remaining = _divmod(remaining, part)[0]
-    return count
+    """Number of irreducible factors of squarefree g, by Berlekamp's rank:
+    it is dim ker(Q - I) = n - rank(Q - I), where row i of Q is X^(2i) mod g
+    for i < n = deg(g).  The rows of Q - I are eliminated by their top bit."""
+    n = _degree(g)
+    pivots: dict[int, int] = {}
+    row = 1
+    for i in range(n):
+        r = row ^ (1 << i)
+        while r:
+            top = r.bit_length()
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+        # X^(2i+2) mod g: shift by 2, then clear bits n+1 and n
+        row <<= 2
+        if row >> (n + 1):
+            row ^= g << 1
+        if row >> n:
+            row ^= g
+    return n - len(pivots)
 
 
 def _fold(a: int, L: int) -> int:
@@ -551,10 +555,9 @@ def is_irreducible(p: BitPoly) -> bool:
 def factor_count(p: BitPoly) -> FactorCount:
     """Count irreducible factors with multiplicity.
 
-    Squarefree decomposition first, then distinct-degree splitting of each
-    part; a degree d*k component of degree-d irreducibles contributes k.
-    For squarefree p this is the plain number of irreducible factors.  The
-    total weighted by degrees always equals deg(p).
+    Squarefree decomposition first, then Berlekamp's rank on each part: a
+    part of multiplicity e with r irreducible factors contributes e * r.
+    For squarefree p this is the plain number of irreducible factors.
     """
     if _degree(p.bits) < 1:
         raise ValueError("factor counting needs degree at least 1")

@@ -153,5 +153,5 @@ def thm1_reducible(shape: PentShape) -> bool:
 
 def brute_force_parity(p: BitPoly) -> ParityVerdict:
     """Observed parity from an actual factor count (squarefree split plus
-    distinct-degree counting)."""
+    Berlekamp's rank on each part)."""
     return ParityVerdict(gf2poly.factor_count(p).parity, "brute_force")

@@ -92,6 +92,32 @@ def naive_has_factor_le(p: int, d_max: int) -> bool:
     return False
 
 
+def ddf_count_factors_squarefree(g: int) -> int:
+    """Number of irreducible factors of squarefree g, by distinct-degree
+    splitting: at step d, gcd(X^(2^d) - X, remaining) collects the product
+    of all irreducible factors of degree exactly d.  This is the slow path
+    that Berlekamp's rank in ``gf2poly._count_factors_squarefree`` replaced;
+    it runs on the library's squaring chain, which the rank does not use."""
+    from pentaswan.gf2poly import _chain_ctx, _degree, _divmod, _gcd
+
+    count = 0
+    ctx = _chain_ctx(g)
+    remaining = ctx.m
+    h = 2
+    d = 0
+    while _degree(remaining) > 0:
+        if 2 * (d + 1) > _degree(remaining):
+            count += 1
+            break
+        d += 1
+        h = ctx.sqr_mod(h)
+        part = _gcd(h ^ 2, remaining)
+        if part != 1:
+            count += _degree(part) // d
+            remaining = _divmod(remaining, part)[0]
+    return count
+
+
 def sylvester_resultant(a: list[int], b: list[int]) -> int:
     """Resultant as the determinant of the Sylvester matrix, evaluated by
     fraction-free (Bareiss) elimination over Z.  Dense low-to-high input."""

@@ -75,6 +75,23 @@ def test_c3_reference_table_below_300(tmp_path):
     report("C3", f"search reproduced all {len(expected)} known pairs below 300", t0)
 
 
+def test_hard_slice_at_production_degrees(tmp_path):
+    # [2991, 3000) is where the full survey spends its time: full-degree
+    # chains, deep prefilters and the early exits all run here
+    t0 = time.perf_counter()
+    out = tmp_path / "hard.csv"
+    code = cli.main(["search", "--n-min", "2991", "--n-max", "3000", "--jobs", str(JOBS),
+                     "--out", str(out)])
+    assert code == 0
+    with open(out) as f:
+        records = read_csv(f)
+    found = {(r.n, r.s) for r in records if r.outcome == "irr"}
+    expected = load_reference_pairs(3000) - load_reference_pairs(2991)
+    assert found == expected and len(expected) == 5
+    assert len(records) == census(2991, 3000)
+    report("hard slice", f"search reproduced the {len(expected)} known pairs in [2991, 3000)", t0)
+
+
 def test_c4_enumerator_census():
     t0 = time.perf_counter()
     total = census(7, 3000)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -332,6 +333,38 @@ def test_verify_small_bounds(capsys):
     )
     assert code == 0
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_verify_json_counts_equal_the_human_lines(capsys):
+    argv = ["verify", "--parity-max", "40", "--thm1-max", "40", "--disc-max", "20",
+            "--trinomial-max", "30", "--powersum-max", "40", "--pair-max", "30", "--jobs", "1"]
+    code, human, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    lines = [re.match(r"PASS (.*): (\d+) cases$", line) for line in human.splitlines()]
+    assert [(s["name"], s["checked"]) for s in suites] == [
+        (m[1], int(m[2])) for m in lines
+    ]
+    assert all(s["ok"] and s["failures"] == [] == s["notes"] for s in suites)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_failure_exits_2_in_either_format(capsys, monkeypatch, fmt):
+    from pentaswan import verify
+
+    bad = verify.CheckResult("planted", checked=3, failures=["(n=7, s=2): wrong"],
+                             notes=["a note"])
+    monkeypatch.setattr(verify, "run_all", lambda **kwargs: [bad])
+    code, out, _ = run(capsys, "verify", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out) == {"suites": [
+            {"name": "planted", "checked": 3, "ok": False,
+             "failures": ["(n=7, s=2): wrong"], "notes": ["a note"]}]}
+    else:
+        assert out == bad.summary() + "\n"
 
 
 # --- plumbing ----------------------------------------------------------------------------

@@ -210,6 +210,72 @@ def test_reciprocal_preserves_irreducibility():
         assert is_irreducible(p) == is_irreducible(reciprocal(p)), p
 
 
+# --- Berlekamp factor count, against the distinct-degree oracle -----------------
+
+def test_berlekamp_count_matches_ddf_and_trial_division():
+    rng = random.Random(26)
+    polys = [pent_poly(shape).bits for shape in enumerate_shapes(7, 200)]  # C1's shapes
+    polys += [(1 << n) | (1 << k) | 1 for n in range(2, 120) for k in range(1, n)]
+    polys += [(1 << d) | rng.getrandbits(d) for d in (rng.randrange(1, 300) for _ in range(500))]
+    polys += range(2, 1 << 9)  # every polynomial of degree 1-8
+    parts = {g for p in polys for g, _ in gf2poly._squarefree_parts(p)}
+    assert len(parts) > 7500
+    for g in parts:
+        count = gf2poly._count_factors_squarefree(g)
+        assert count == oracles.ddf_count_factors_squarefree(g), g
+        if g.bit_length() <= 21:
+            assert count == len(oracles.naive_factors(g)), g
+
+
+def power(p, e):
+    out = 1
+    for _ in range(e):
+        out = gf2poly._mul(out, p)
+    return out
+
+
+KNOWN_IRREDUCIBLES = {  # degree -> an irreducible of that degree
+    1: 0b10,
+    2: 0b111,
+    3: 0b1011,
+    14: (1 << 14) | (1 << 10) | (1 << 6) | (1 << 1) | 1,
+    23: (1 << 23) | (1 << 5) | 1,
+    2401: pent_poly(PentShape(2401, 388)).bits,  # a table2 pair
+}
+
+
+def test_known_irreducibles_are_irreducible():
+    for d, p in KNOWN_IRREDUCIBLES.items():
+        assert is_irreducible(BitPoly(p)), d
+        if d <= 23:
+            assert oracles.naive_factors(p) == [p], d
+    assert (2401, 388) in table2_shapes(2401)
+
+
+def test_factor_count_with_multiplicity():
+    # P^e * Q^f for distinct irreducibles P, Q has e + f factors; when e = f
+    # the squarefree split leaves one part P * Q of two factors
+    irreducibles = list(KNOWN_IRREDUCIBLES.values())
+    for i, P in enumerate(irreducibles):
+        for Q in irreducibles[i + 1:]:
+            for e in range(1, 5):
+                for f in range(1, 5):
+                    p = BitPoly(gf2poly._mul(power(P, e), power(Q, f)))
+                    assert factor_count(p).total == e + f, (P.bit_length() - 1, e,
+                                                            Q.bit_length() - 1, f)
+
+
+def test_factor_count_of_pentanomial_powers():
+    # with n and s even, pent(n, s) = pent(n/2, s/2)^2 in characteristic 2
+    for n, s, root, e in ((14, 4, (7, 2), 2), (28, 8, (7, 2), 4),
+                          (4802, 776, (2401, 388), 2), (9604, 1552, (2401, 388), 4)):
+        p = pent_poly(PentShape(n, s))
+        assert p.bits == power(pent_poly(PentShape(*root)).bits, e), (n, s)
+        assert factor_count(p) == (e, "even"), (n, s)
+    p = pent_poly(PentShape(18, 4))  # pent(9, 2)^2, three factors squared
+    assert factor_count(p) == (6, "even") and len(oracles.naive_factors(p.bits)) == 6
+
+
 # --- squaring chain, differential against the oracles ---------------------------
 
 def test_sqr_matches_naive_square():
