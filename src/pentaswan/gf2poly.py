@@ -13,10 +13,12 @@ integers and carry the performance-sensitive inner loops.  The hot paths
 are modular squaring chains: a squaring is two ``bytes.translate`` table
 maps, and a sparse modulus such as X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
 costs a handful of shifted XORs per top-gap step, run on p or on its
-reciprocal, whichever has the larger gap.  One chain per polynomial serves
-the small-factor prefilter (folded gcds) and Rabin's test (early exits).
-Factor counts take no chain and no gcd: each squarefree part is counted by
-Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part.
+reciprocal, whichever has the larger gap.  One short chain per polynomial
+serves the small-factor prefilter (folded gcds).  Factor counts take no
+chain and no gcd: each squarefree part is counted by Berlekamp's rank of
+Q - I, with Q the matrix of squaring modulo the part.  A polynomial that
+survives the prefilter is irreducible iff gcd(p, p') = 1 and that rank
+counts one factor.
 """
 
 from __future__ import annotations
@@ -287,56 +289,32 @@ def _fold(a: int, L: int) -> int:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 DEFAULT_PREFILTER_DEPTH = 13
-# If p has a factor of degree d with probability ~1/d, a gcd at k > 13 stops
-# a reducible chain with probability 1 - prod(1 - 1/d) over the d > 13 that
-# divide k and no earlier exit, saving n - k squarings for about 120.  Picked
-# greedily over n < 3000 (weight n^2) while each k saves >= 12 squarings more.
-_EARLY_EXITS = (420, 432, 646, 660, 780, 800)
 
 
 def _smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
     """Smallest degree d of an irreducible factor of p when d <= depth;
     else, with ``rabin``, deg(p) if p is irreducible; else None.
 
-    One squaring chain h_k = X^(2^k) mod p answers both.  For k <= depth,
-    gcd(h_k - X, p) != 1 first at k = d: the small-factor prefilter, taken
+    The squaring chain h_k = X^(2^k) mod p runs for k <= min(depth, n):
+    gcd(h_k - X, p) != 1 first at k = d, the small-factor prefilter, taken
     as gcd(X^L + 1, p mod (X^L + 1)) on L bits when L = 2^k - 1 < n and
-    p(0) = 1.  With ``rabin`` the chain runs on to k = n = deg(p) for
-    Rabin's criterion: p is irreducible iff X^(2^n) = X (mod p) and
-    h_(n/q) - X is coprime to p for every prime q | n.  A nontrivial gcd at
-    an ``_EARLY_EXITS`` k in (depth, n/2], which finds the factors of degree
-    dividing k, proves p reducible (None) early; no irreducible p has one.
+    p(0) = 1.  A survivor of the prefilter is irreducible iff it is
+    squarefree, gcd(p, p') = 1, and Berlekamp's rank counts one factor;
+    the rank alone would count one on the cube of an irreducible.
     """
     n = _degree(p)
-    checks = set(range(1, depth + 1))
-    if rabin:
-        checks.update(n // q for q in _prime_factors(n))
-        checks.update(k for k in _EARLY_EXITS if depth < k <= n // 2)
     ctx = _chain_ctx(p)
     m, h = ctx.m, 2
-    for k in range(1, (n if rabin else depth) + 1):
+    for k in range(1, min(depth, n) + 1):
         h = ctx.sqr_mod(h)
-        if k in checks:
-            L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
-            g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
-            if g != 1:
-                return k if k <= depth else None
-    return n if rabin and ctx.canonical(h ^ 2) == 0 else None
+        L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
+        g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
+        if g != 1:
+            return k
+    if rabin and _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1:
+        return n
+    return None
 
 
 def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
@@ -542,13 +520,13 @@ def pow_frobenius(m: BitPoly, k: int) -> BitPoly:
 
 
 def is_irreducible(p: BitPoly) -> bool:
-    """Rabin's criterion: p of degree n is irreducible over GF(2) iff
-    X^(2^n) = X (mod p) and gcd(X^(2^(n/q)) - X, p) = 1 for every prime
-    q dividing n."""
+    """True iff p, of degree n >= 1, is irreducible over GF(2): the
+    prefilter chain finds no factor of degree <= 13 below n, and then
+    gcd(p, p') = 1 and Berlekamp's rank of Q - I is n - 1 (one factor)."""
     n = _degree(p.bits)
     if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
-    # a perfect square (zero derivative) could run the whole chain to fail
+    # not for correctness (gcd(p, 0) = p): a perfect square skips the prefilter
     return _deriv(p.bits) != 0 and _smallest_factor_degree(p.bits, DEFAULT_PREFILTER_DEPTH) == n
 
 

@@ -1,9 +1,10 @@
 """Exhaustive survey of equally gapped pentanomials over (n, s) ranges.
 
 The pipeline is: enumerate shapes in deterministic (n, s) order, classify
-each one (closed-form certificate, square short-circuit, then one squaring
-chain for the small-factor prefilter and the full irreducibility test),
-and aggregate statistics.  Classification of distinct shapes is
+each one (closed-form certificate, square short-circuit, a short squaring
+chain for the small-factor prefilter, then, for a survivor, the squarefree
+gcd plus Berlekamp's rank as the full irreducibility test), and aggregate
+statistics.  Classification of distinct shapes is
 embarrassingly parallel: shapes go to a process pool in fixed-size chunks,
 and the output order comes from the ordered map, so it never depends on
 the worker count.
@@ -169,7 +170,9 @@ def survey(
 @dataclass
 class SurveyStats:
     """Aggregates of a survey run; histograms cover irreducible records.
-    ``errors`` counts the error records, which ``total_checked`` includes."""
+    ``errors`` counts the error records, which ``total_checked`` includes.
+    ``outcomes`` maps each outcome token seen to (records, summed
+    elapsed_us)."""
 
     total_checked: int = 0
     total_irreducible: int = 0
@@ -177,6 +180,7 @@ class SurveyStats:
     s_mod8: dict[int, int] | None = None
     distinct_n_with_irr: int = 0
     errors: int = 0
+    outcomes: dict[str, tuple[int, int]] | None = None
 
     @property
     def frequency(self) -> float:
@@ -192,20 +196,28 @@ class SurveyStats:
             "errors": self.errors,
             "frequency": self.frequency,
             "arbitrary_poly_baseline": ARBITRARY_POLY_BASELINE,
+            "outcomes": {
+                outcome: {"count": count, "mean_us": us / count}
+                for outcome, (count, us) in (self.outcomes or {}).items()
+            },
         }
 
 
 def stats(records: Iterable[SearchRecord]) -> SurveyStats:
     """Totals, mod-8 histograms over the irreducible records, the error
-    count, and the irreducibility frequency among everything checked."""
+    count, records and time per outcome, and the irreducibility frequency
+    among everything checked."""
     n_hist = {r: 0 for r in range(8)}
     s_hist = {r: 0 for r in range(8)}
     total = 0
     irr = 0
     errors = 0
     irr_ns: set[int] = set()
+    outcomes: dict[str, tuple[int, int]] = {}
     for rec in records:
         total += 1
+        count, us = outcomes.get(rec.outcome, (0, 0))
+        outcomes[rec.outcome] = (count + 1, us + rec.elapsed_us)
         if rec.outcome == IRREDUCIBLE:
             irr += 1
             n_hist[rec.n % 8] += 1
@@ -213,7 +225,7 @@ def stats(records: Iterable[SearchRecord]) -> SurveyStats:
             irr_ns.add(rec.n)
         elif rec.outcome == ERROR:
             errors += 1
-    return SurveyStats(total, irr, n_hist, s_hist, len(irr_ns), errors)
+    return SurveyStats(total, irr, n_hist, s_hist, len(irr_ns), errors, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -63,24 +63,21 @@ def naive_smallest_factor_degree(p: int, depth: int) -> int | None:
 
 def naive_factors(p: int) -> list[int]:
     """Complete factorization over GF(2) by trial division, smallest
-    divisor first (which makes each found divisor irreducible).  Only
-    sensible for small degrees."""
+    divisor first (which makes each found divisor irreducible).  The
+    search resumes at the last divisor found, since no smaller one divides
+    the cofactor, and skips even divisors after X, which is tried first.
+    Only sensible for small degrees."""
     out = []
-    while p.bit_length() - 1 >= 1:
-        dp = p.bit_length() - 1
-        divisor = None
-        d = 2
-        while (d.bit_length() - 1) * 2 <= dp:
-            q, r = poly_divmod_bits(p, d)
-            if r == 0:
-                divisor = d
-                p = q
-                break
-            d += 1
-        if divisor is None:
-            out.append(p)
-            break
-        out.append(divisor)
+    d = 2
+    while (d.bit_length() - 1) * 2 <= p.bit_length() - 1:
+        q, r = poly_divmod_bits(p, d)
+        if r == 0:
+            out.append(d)
+            p = q
+        else:
+            d += 1 if d == 2 else 2
+    if p.bit_length() - 1 >= 1:
+        out.append(p)
     return out
 
 
@@ -116,6 +113,63 @@ def ddf_count_factors_squarefree(g: int) -> int:
             count += _degree(part) // d
             remaining = _divmod(remaining, part)[0]
     return count
+
+
+def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
+    """Smallest degree d of an irreducible factor of p when d <= depth;
+    else, with ``rabin``, deg(p) if p is irreducible; else None.
+
+    This is the fused chain that the prefilter plus gcd(p, p') and
+    Berlekamp's rank replaced in ``gf2poly._smallest_factor_degree``, kept
+    as it was with its prime factorization and its early exits inlined.
+    One squaring chain h_k = X^(2^k) mod p answers both.  For k <= depth,
+    gcd(h_k - X, p) != 1 first at k = d: the small-factor prefilter, taken
+    as gcd(X^L + 1, p mod (X^L + 1)) on L bits when L = 2^k - 1 < n and
+    p(0) = 1.  With ``rabin`` the chain runs on to k = n = deg(p) for
+    Rabin's criterion: p is irreducible iff X^(2^n) = X (mod p) and
+    h_(n/q) - X is coprime to p for every prime q | n.  A nontrivial gcd at
+    an early-exit k in (depth, n/2], which finds the factors of degree
+    dividing k, proves p reducible (None) early; no irreducible p has one.
+    It runs on the library's squaring chain and folded gcds, which the
+    rank does not use.
+    """
+    from pentaswan.gf2poly import _chain_ctx, _degree, _fold, _gcd
+
+    def prime_factors(n: int) -> list[int]:
+        out = []
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                out.append(d)
+                while n % d == 0:
+                    n //= d
+            d += 1
+        if n > 1:
+            out.append(n)
+        return out
+
+    # If p has a factor of degree d with probability ~1/d, a gcd at k > 13
+    # stops a reducible chain with probability 1 - prod(1 - 1/d) over the
+    # d > 13 that divide k and no earlier exit, saving n - k squarings for
+    # about 120.  Picked greedily over n < 3000 (weight n^2) while each k
+    # saves >= 12 squarings more.
+    early_exits = (420, 432, 646, 660, 780, 800)
+
+    n = _degree(p)
+    checks = set(range(1, depth + 1))
+    if rabin:
+        checks.update(n // q for q in prime_factors(n))
+        checks.update(k for k in early_exits if depth < k <= n // 2)
+    ctx = _chain_ctx(p)
+    m, h = ctx.m, 2
+    for k in range(1, (n if rabin else depth) + 1):
+        h = ctx.sqr_mod(h)
+        if k in checks:
+            L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
+            g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
+            if g != 1:
+                return k if k <= depth else None
+    return n if rabin and ctx.canonical(h ^ 2) == 0 else None
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:

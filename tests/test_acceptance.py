@@ -76,8 +76,8 @@ def test_c3_reference_table_below_300(tmp_path):
 
 
 def test_hard_slice_at_production_degrees(tmp_path):
-    # [2991, 3000) is where the full survey spends its time: full-degree
-    # chains, deep prefilters and the early exits all run here
+    # [2991, 3000) is where the full survey spends its time: full-depth
+    # prefilters and the squarefree gcd plus Berlekamp rank on each survivor
     t0 = time.perf_counter()
     out = tmp_path / "hard.csv"
     code = cli.main(["search", "--n-min", "2991", "--n-max", "3000", "--jobs", str(JOBS),

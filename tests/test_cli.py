@@ -164,6 +164,24 @@ def test_search_csv_to_file_and_stats(capsys, tmp_path):
     assert payload["total_irreducible"] == 8
 
 
+def test_stats_reports_count_and_mean_time_per_outcome(capsys, tmp_path):
+    out_path = tmp_path / "run.csv"
+    run(capsys, "search", "--n-min", "7", "--n-max", "60", "--s-parity", "odd",
+        "--jobs", "1", "--out", str(out_path))
+    code, out, _ = run(capsys, "stats", str(out_path))
+    assert code == 0
+    payload = json.loads(out)
+    with open(out_path) as f:
+        records = read_csv(f)
+    times = {}
+    for r in records:
+        times.setdefault(r.outcome, []).append(r.elapsed_us)
+    assert set(payload["outcomes"]) == set(times) and len(times) >= 3
+    assert sum(o["count"] for o in payload["outcomes"].values()) == payload["total_checked"]
+    for outcome, us in times.items():
+        assert payload["outcomes"][outcome] == {"count": len(us), "mean_us": sum(us) / len(us)}
+
+
 def test_search_jsonl_stdout(capsys):
     code, out, _ = run(
         capsys, "search", "--n-min", "7", "--n-max", "14", "--format", "jsonl",

@@ -316,7 +316,7 @@ def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
             assert gf2poly._smallest_factor_degree(q.bits, depth) == expected, (q, depth)
 
 
-# --- folded gcds and early exits, against the slow paths they replace ----------
+# --- folded gcds and the survivor decision, against the slow paths they replace
 
 def table2_shapes(n_min):
     with open(Path(__file__).parent / "data" / "table2.csv") as f:
@@ -335,34 +335,26 @@ def test_fold_matches_rem():
             assert gf2poly._fold(a, L) == gf2poly._rem(a, (1 << L) | 1), (L, a.bit_length())
 
 
-def exit_factor_pairs():
-    """(d, k) for each early exit k with d > 13 dividing k and no earlier
-    exit, then (d, 0) with d > 13 dividing no exit."""
-    exits = gf2poly._EARLY_EXITS
-    out = []
-    for i, k in enumerate(exits):
-        d = next(d for d in range(14, k) if k % d == 0 and all(e % d for e in exits[:i]))
-        out.append((d, k))
-    out.append((next(d for d in range(14, 100) if all(e % d for e in exits)), 0))
-    return out
+# degrees, all above the prefilter depth, of the irreducibles g in g * P below
+FACTOR_DEGREES = (14, 15, 20, 23, 29, 31, 37)
 
 
 def random_irreducible(rng, degree):
     while True:
         g = (1 << degree) | rng.getrandbits(degree) | 1
-        if len(oracles.naive_factors(g)) == 1:
+        if oracles.naive_smallest_factor_degree(g, 0) == degree:
             return g
 
 
 def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
-    # g * P with P the first table2 irreducible of degree >= max(721, 2k),
-    # so that the exit at k is taken; g is X, or an irreducible of degree
-    # > 13 dividing the exit k, or one dividing no exit (the full chain decides)
+    # g * P with P a table2 irreducible of degree >= 721: g is X, which the
+    # prefilter finds, or an irreducible of degree > 13, which only the
+    # squarefree gcd plus Berlekamp's rank (two factors) can decide
     rng = random.Random(24)
     table = sorted(table2_shapes(721))
-    cases = [(2, 0)] + [(random_irreducible(rng, d), k) for d, k in exit_factor_pairs()]
-    for g, k in cases:
-        n, s = next((n, s) for n, s in table if n >= 2 * k)
+    cases = [2] + [random_irreducible(rng, d) for d in FACTOR_DEGREES]
+    for i, g in enumerate(cases):
+        n, s = table[i * len(table) // len(cases)]
         p = gf2poly._mul(g, pent_poly(PentShape(n, s)).bits)
         expected = 1 if g == 2 else None
         assert gf2poly._smallest_factor_degree(p, 13) == expected, (n, s, g)
@@ -373,12 +365,54 @@ def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
             monkeypatch.undo()
 
 
+def test_non_squarefree_survivors_are_reducible():
+    # P^3 and P^2 * Q with P, Q irreducible of degree > 13: the prefilter
+    # finds nothing, and Berlekamp's rank alone counts one factor on P^3,
+    # so only gcd(p, p') != 1 can call these reducible
+    rng = random.Random(27)
+    big = pent_poly(PentShape(*sorted(table2_shapes(721))[0])).bits
+    small = random_irreducible(rng, 23)
+    cube = power(big, 3)
+    assert gf2poly._count_factors_squarefree(cube) == 1
+    for q in (cube, power(small, 3), gf2poly._mul(power(big, 2), small),
+              gf2poly._mul(power(small, 2), big)):
+        assert gf2poly._smallest_factor_degree(q, 13) is None, q.bit_length() - 1
+        assert not is_irreducible(BitPoly(q)), q.bit_length() - 1
+
+
 def test_table2_irreducibles_above_720_stay_irreducible():
     for n, s in random.Random(25).sample(table2_shapes(721), 8):
         p = pent_poly(PentShape(n, s))
         assert gf2poly._smallest_factor_degree(p.bits, 13) == n, (n, s)
         assert is_irreducible(p), (n, s)
         assert search.classify_shape(PentShape(n, s)) == ("irr", None), (n, s)
+
+
+def production_survivors(rng, count):
+    """Seeded even-s shapes with n in [2401, 3000), n = +-1 (mod 8), that
+    the depth-13 prefilter does not settle."""
+    columns = [n for n in range(2401, 3000) if n % 8 in (1, 7)]
+    out = []
+    while len(out) < count:
+        n = rng.choice(columns)
+        s = 2 * rng.randrange(1, (n - 1) // 6 + 1)
+        p = pent_poly(PentShape(n, s)).bits
+        if gf2poly._smallest_factor_degree_le(p, 13) is None:
+            out.append((n, s))
+    return out
+
+
+def test_survivor_decision_matches_rabin_chain_at_production_degrees():
+    rng = random.Random(28)
+    shapes = rng.sample(table2_shapes(2401), 24) + production_survivors(rng, 48)
+    verdicts = []
+    for n, s in shapes:
+        p = pent_poly(PentShape(n, s)).bits
+        verdict = gf2poly._smallest_factor_degree(p, 13)
+        assert verdict == oracles.rabin_smallest_factor_degree(p, 13), (n, s)
+        verdicts.append(verdict)
+    assert verdicts[:24] == [n for n, _ in shapes[:24]]
+    assert None in verdicts[24:]
 
 
 # --- small-factor prefilter ----------------------------------------------------

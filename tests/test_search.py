@@ -175,9 +175,9 @@ def test_survey_no_certified_irreducible_conflict():
 
 
 def test_classify_raises_on_impossible_irreducible(monkeypatch):
-    # force the fused chain to call every polynomial irreducible: the residue
-    # guard must trip hard, and the survey must convert the anomaly into an
-    # error record instead of dying
+    # force the prefilter and the survivor decision to call every polynomial
+    # irreducible: the residue guard must trip hard, and the survey must
+    # convert the anomaly into an error record instead of dying
     import pentaswan.search as search_mod
     from pentaswan.zpoly import ConsistencyError
 
@@ -229,7 +229,9 @@ def test_stats_empty_stream():
         "frequency",
         "arbitrary_poly_baseline",
         "errors",
+        "outcomes",
     }
+    assert agg.to_json_dict()["outcomes"] == {}
 
 
 def test_stats_counts_error_rows():
