@@ -206,13 +206,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_stats(args) -> int:
     with open(args.input) if args.input != "-" else nullcontext(sys.stdin) as f:
-        first = f.read(1)
-        rest = first + f.read()
-    records = (
-        search.read_jsonl(rest.splitlines(True).__iter__())
-        if first == "{"
-        else search.read_csv(rest.splitlines(True).__iter__())
-    )
+        text = f.read()
+    read = search.read_jsonl if text.startswith("{") else search.read_csv
+    records = read(text.splitlines(True))
     print(json.dumps(search.stats(records).to_json_dict(), indent=2, sort_keys=True))
     return 0
 

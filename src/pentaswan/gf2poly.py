@@ -9,16 +9,14 @@ multiplication/remainder reduce to shifts and XORs.
 
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
-integers and carry the performance-sensitive inner loops.  The hot paths
-are modular squaring chains: a squaring is two ``bytes.translate`` table
-maps, and a sparse modulus such as X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
-costs a handful of shifted XORs per top-gap step, run on p or on its
-reciprocal, whichever has the larger gap.  One short chain per polynomial
-serves the small-factor prefilter (folded gcds).  Factor counts take no
-chain and no gcd: each squarefree part is counted by Berlekamp's rank of
-Q - I, with Q the matrix of squaring modulo the part.  A polynomial that
-survives the prefilter is irreducible iff gcd(p, p') = 1 and that rank
-counts one factor.
+integers and carry the performance-sensitive inner loops.  A squaring is
+two ``bytes.translate`` table maps.  One short squaring chain per
+polynomial serves the small-factor prefilter (folded gcds): 13 steps by
+default, each a square and a plain remainder modulo p.  Factor counts take
+no chain and no gcd: each squarefree part is counted by Berlekamp's rank
+of Q - I, with Q the matrix of squaring modulo the part.  A polynomial
+that survives the prefilter is irreducible iff gcd(p, p') = 1 and that
+rank counts one factor.
 """
 
 from __future__ import annotations
@@ -140,60 +138,6 @@ def _sqrt(a: int) -> int:
     return int(format(a, "b")[::-2][::-1], 2)
 
 
-class _ReduceCtx:
-    """Reduction strategy for a fixed modulus, reused across a squaring chain.
-
-    For a sparse modulus the quotient is applied one top-gap step at a time,
-    which costs (terms - 1) shifted XORs per step and retires ``gap`` bits.
-    Equally gapped pentanomials are first widened by X^s + 1 to enlarge the
-    top gap (values stay congruent modulo the true modulus since it divides
-    the widened one); the final canonical remainder is obtained with
-    :func:`_rem`.  The widened gap 4s survives s -> n/3, where the
-    reciprocal's gap n - 3s vanishes; :func:`_chain_ctx` picks the larger.
-    """
-
-    __slots__ = ("m", "w", "dw", "gap", "mask", "shifts", "sparse")
-
-    def __init__(self, m: int):
-        self.m = m
-        exps = _exponents(m)
-        w = m
-        if len(exps) == 5 and exps[4] == 0:
-            n, a, b, c = exps[0], exps[1], exps[2], exps[3]
-            if n - a == a - b == b - c:
-                # equally gapped pentanomial: (X^s + 1) * m telescopes to
-                # X^(n+s) + X^(n-3s) + X^s + 1, a gap of 4s at the top
-                s = n - a
-                w = _mul(m, (1 << s) | 1)
-        wexps = _exponents(w)
-        self.dw = wexps[0]
-        self.gap = gap = self.dw - wexps[1] if len(wexps) > 1 else self.dw
-        # sparse stepping beats bitwise division when each step retires more
-        # quotient bits than it spends XORs
-        self.sparse = len(wexps) <= 8 and gap * 2 > len(wexps)
-        self.w = w
-        self.mask = (1 << self.dw) - 1
-        self.shifts = tuple(wexps[1:])  # may include 0; h << 0 is h
-
-    def reduce(self, a: int) -> int:
-        if self.sparse:
-            dw, mask, shifts = self.dw, self.mask, self.shifts
-            h = a >> dw
-            while h:
-                a &= mask
-                for e in shifts:
-                    a ^= h << e
-                h = a >> dw
-            return a
-        return _rem(a, self.w)
-
-    def sqr_mod(self, a: int) -> int:
-        return self.reduce(_sqr(a))
-
-    def canonical(self, a: int) -> int:
-        return _rem(a, self.m)
-
-
 def _exponents(a: int) -> list[int]:
     out = []
     while a:
@@ -236,21 +180,6 @@ def _squarefree_parts(f: int) -> list[tuple[int, int]]:
 def _reverse(a: int) -> int:
     """Bit-reversal of a over its own length: X^deg(a) * a(1/X)."""
     return int(format(a, "b")[::-1], 2)
-
-
-def _chain_ctx(p: int) -> _ReduceCtx:
-    """Reduction context for a squaring chain over p: p itself, or its
-    reciprocal when that has the larger top gap after widening (for the
-    pentanomial family, n - 3s against 4s).  Only p(0) = 1 flips: then
-    g -> reciprocal(g) maps the irreducible factors of p onto those of its
-    reciprocal with the same degrees, so every chain question has the same
-    answer on both.  The chain takes its gcds with ``ctx.m``."""
-    ctx = _ReduceCtx(p)
-    if p & 1 and p.bit_count() <= 8:
-        flipped = _ReduceCtx(_reverse(p))
-        if flipped.gap > ctx.gap:
-            return flipped
-    return ctx
 
 
 def _count_factors_squarefree(g: int) -> int:
@@ -296,20 +225,22 @@ def _smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | Non
     """Smallest degree d of an irreducible factor of p when d <= depth;
     else, with ``rabin``, deg(p) if p is irreducible; else None.
 
-    The squaring chain h_k = X^(2^k) mod p runs for k <= min(depth, n):
-    gcd(h_k - X, p) != 1 first at k = d, the small-factor prefilter, taken
-    as gcd(X^L + 1, p mod (X^L + 1)) on L bits when L = 2^k - 1 < n and
-    p(0) = 1.  A survivor of the prefilter is irreducible iff it is
-    squarefree, gcd(p, p') = 1, and Berlekamp's rank counts one factor;
-    the rank alone would count one on the cube of an irreducible.
+    The squaring chain h_k = X^(2^k) mod p runs on p itself for
+    k <= min(depth, n): gcd(h_k - X, p) != 1 first at k = d, the
+    small-factor prefilter, taken as gcd(X^L + 1, p mod (X^L + 1)) on L bits
+    when L = 2^k - 1 < n and p(0) = 1.  Such a gcd does not read h_k, which
+    is then the monomial X^(2^k), of degree at most n, so a chain of depth
+    13 does real reduction work at only its last few steps.  A survivor of
+    the prefilter is irreducible iff it is squarefree, gcd(p, p') = 1, and
+    Berlekamp's rank counts one factor; the rank alone would count one on
+    the cube of an irreducible.
     """
     n = _degree(p)
-    ctx = _chain_ctx(p)
-    m, h = ctx.m, 2
+    h = 2
     for k in range(1, min(depth, n) + 1):
-        h = ctx.sqr_mod(h)
-        L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
-        g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
+        h = _rem(_sqr(h), p)
+        L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide p if p(0) = 1
+        g = _gcd((1 << L) | 1, _fold(p, L)) if p & 1 and L < n else _gcd(h ^ 2, p)
         if g != 1:
             return k
     if rabin and _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1:
@@ -512,11 +443,10 @@ def pow_frobenius(m: BitPoly, k: int) -> BitPoly:
         raise ValueError("modulus must have degree at least 1")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ctx = _ReduceCtx(m.bits)
     h = _rem(2, m.bits)
     for _ in range(k):
-        h = ctx.sqr_mod(h)
-    return BitPoly(ctx.canonical(h))
+        h = _rem(_sqr(h), m.bits)
+    return BitPoly(h)
 
 
 def is_irreducible(p: BitPoly) -> bool:

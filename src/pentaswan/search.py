@@ -128,7 +128,7 @@ def classify_shape(
     p = gf2poly.pent_poly(shape)
     d = gf2poly._smallest_factor_degree(p.bits, prefilter_depth)
     if d == n:
-        if s % 2 == 0 and n % 8 not in (1, 7):
+        if s % 2 == 0 and swan.thm1_reducible(shape):
             # the even-s closed form forbids this residue; finding one
             # irreducible here would mean the theory or the test is broken
             raise ConsistencyError(

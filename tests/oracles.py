@@ -89,17 +89,54 @@ def naive_has_factor_le(p: int, d_max: int) -> bool:
     return False
 
 
+def _sparse_chain(p: int):
+    """(m, sqr_mod) for a squaring chain over p, the slow paths' own chain.
+
+    m is p, or its reciprocal when p(0) = 1 and the reciprocal has the
+    larger top gap: g -> reciprocal(g) maps the irreducible factors of p
+    onto those of its reciprocal with the same degrees, so every chain
+    question has the same answer on both.  ``sqr_mod(a)`` is a^2 mod m.  On
+    a sparse m the quotient is applied one top-gap step at a time, which
+    costs (terms - 1) shifted XORs and retires ``gap`` bits; a dense m takes
+    plain remainders."""
+    from pentaswan.gf2poly import _exponents, _rem, _reverse, _sqr
+
+    def gap(m):
+        exps = _exponents(m)
+        return exps[0] - exps[1] if len(exps) > 1 else exps[0]
+
+    m = p
+    if p & 1 and p.bit_count() <= 8 and gap(_reverse(p)) > gap(p):
+        m = _reverse(p)
+    exps = _exponents(m)
+    if len(exps) > 8 or 2 * gap(m) <= len(exps):
+        return m, lambda a: _rem(_sqr(a), m)
+    n, shifts, mask = exps[0], exps[1:], (1 << exps[0]) - 1
+
+    def sqr_mod(a):
+        a = _sqr(a)
+        h = a >> n
+        while h:
+            a &= mask
+            for e in shifts:
+                a ^= h << e
+            h = a >> n
+        return a
+
+    return m, sqr_mod
+
+
 def ddf_count_factors_squarefree(g: int) -> int:
     """Number of irreducible factors of squarefree g, by distinct-degree
     splitting: at step d, gcd(X^(2^d) - X, remaining) collects the product
     of all irreducible factors of degree exactly d.  This is the slow path
     that Berlekamp's rank in ``gf2poly._count_factors_squarefree`` replaced;
-    it runs on the library's squaring chain, which the rank does not use."""
-    from pentaswan.gf2poly import _chain_ctx, _degree, _divmod, _gcd
+    it runs on a squaring chain to degree deg(g) / 2, which the rank does not
+    use."""
+    from pentaswan.gf2poly import _degree, _divmod, _gcd
 
     count = 0
-    ctx = _chain_ctx(g)
-    remaining = ctx.m
+    remaining, sqr_mod = _sparse_chain(g)
     h = 2
     d = 0
     while _degree(remaining) > 0:
@@ -107,7 +144,7 @@ def ddf_count_factors_squarefree(g: int) -> int:
             count += 1
             break
         d += 1
-        h = ctx.sqr_mod(h)
+        h = sqr_mod(h)
         part = _gcd(h ^ 2, remaining)
         if part != 1:
             count += _degree(part) // d
@@ -130,10 +167,10 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
     h_(n/q) - X is coprime to p for every prime q | n.  A nontrivial gcd at
     an early-exit k in (depth, n/2], which finds the factors of degree
     dividing k, proves p reducible (None) early; no irreducible p has one.
-    It runs on the library's squaring chain and folded gcds, which the
-    rank does not use.
+    It runs on a squaring chain to degree n and the library's folded gcds;
+    the rank uses neither.
     """
-    from pentaswan.gf2poly import _chain_ctx, _degree, _fold, _gcd
+    from pentaswan.gf2poly import _degree, _fold, _gcd, _rem
 
     def prime_factors(n: int) -> list[int]:
         out = []
@@ -160,16 +197,16 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
     if rabin:
         checks.update(n // q for q in prime_factors(n))
         checks.update(k for k in early_exits if depth < k <= n // 2)
-    ctx = _chain_ctx(p)
-    m, h = ctx.m, 2
+    m, sqr_mod = _sparse_chain(p)
+    h = 2
     for k in range(1, (n if rabin else depth) + 1):
-        h = ctx.sqr_mod(h)
+        h = sqr_mod(h)
         if k in checks:
             L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
             g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
             if g != 1:
                 return k if k <= depth else None
-    return n if rabin and ctx.canonical(h ^ 2) == 0 else None
+    return n if rabin and _rem(h ^ 2, m) == 0 else None
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:

@@ -341,6 +341,15 @@ def test_stats_missing_file(capsys):
     assert run(capsys, "stats", "/nonexistent/run.csv")[0] == 1
 
 
+@pytest.mark.parametrize("text", ["", "7,2,irr,5\n9,2,irr,6\n"])
+def test_stats_empty_or_headerless_csv_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "run.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, "stats", str(path))
+    assert code == 1
+    assert "expected CSV header" in err
+
+
 # --- verify -----------------------------------------------------------------------------
 
 def test_verify_small_bounds(capsys):

@@ -163,6 +163,17 @@ def test_pow_frobenius_additivity():
         assert step == direct
 
 
+@pytest.mark.parametrize("n, s", [(501, 2), (501, 166), (2999, 2), (2999, 998)])
+def test_pow_frobenius_matches_naive_chain_on_probe_pentanomials(n, s):
+    # the benchmark's squaring probes, at production degrees, and their mirrors
+    p = pent_poly(PentShape(n, s))
+    for m in (p, reciprocal(p)):
+        h = oracles.poly_divmod_bits(2, m.bits)[1]
+        for k in range(17):
+            assert pow_frobenius(m, k).bits == h, (m, k)
+            h = oracles.poly_divmod_bits(oracles.naive_square(h), m.bits)[1]
+
+
 # --- irreducibility and factor counting ---------------------------------------
 
 def test_is_irreducible_examples():
@@ -301,7 +312,7 @@ def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
     rng = random.Random(22)
     for i in range(60):
         deg = rng.randrange(1, 41)
-        if i % 2:  # sparse, where the chain may run on the reciprocal
+        if i % 2:  # sparse, like the survey's pentanomials
             exps = {deg, 0, *rng.sample(range(1, deg), min(deg - 1, rng.randrange(1, 6)))}
             p = BitPoly.from_exponents(exps)
         else:
