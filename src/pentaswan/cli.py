@@ -176,8 +176,7 @@ def _cmd_search(args) -> int:
         # rows below it, which stay on disk untouched
         shapes = (sh for sh in shapes if sh.n >= restart)
         os.truncate(args.out, offset)
-    records = search.survey(shapes, prune=not args.no_prune,
-                            prefilter_depth=args.prefilter_depth, jobs=args.jobs)
+    records = search.survey(shapes, prune=not args.no_prune, jobs=args.jobs)
     errors = [rec for rec in kept if rec.outcome == search.ERROR]
 
     def stream():
@@ -269,7 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--s-parity", choices=("even", "odd"), default="even")
     p.add_argument("--n-parity", choices=("odd", "all"), default="odd")
-    p.add_argument("--prefilter-depth", type=int, default=search.DEFAULT_PREFILTER_DEPTH)
     p.add_argument("--no-prune", action="store_true",
                    help="skip the closed-form certificate, test every shape")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")

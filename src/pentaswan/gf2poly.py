@@ -10,12 +10,13 @@ multiplication/remainder reduce to shifts and XORs.
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
 integers and carry the performance-sensitive inner loops.  A squaring is
-two ``bytes.translate`` table maps.  One short squaring chain per
-polynomial serves the small-factor prefilter (folded gcds): 13 steps by
-default, each a square and a plain remainder modulo p.  Factor counts take
-no chain and no gcd: each squarefree part is counted by Berlekamp's rank
-of Q - I, with Q the matrix of squaring modulo the part.  A polynomial
-that survives the prefilter is irreducible iff gcd(p, p') = 1 and that
+two ``bytes.translate`` table maps.  ``_smallest_factor_degree_le`` is
+the small-factor prefilter: one short squaring chain per polynomial, each
+step a square and a plain remainder modulo p, with folded gcds.  Factor
+counts take no chain and no gcd: each squarefree part is counted by
+Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part.
+``_smallest_factor_degree`` runs the prefilter at PREFILTER_DEPTH = 13;
+a polynomial that survives it is irreducible iff gcd(p, p') = 1 and that
 rank counts one factor.
 """
 
@@ -218,40 +219,43 @@ def _fold(a: int, L: int) -> int:
     return a
 
 
-DEFAULT_PREFILTER_DEPTH = 13
+PREFILTER_DEPTH = 13
 
 
-def _smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
-    """Smallest degree d of an irreducible factor of p when d <= depth;
-    else, with ``rabin``, deg(p) if p is irreducible; else None.
+def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
+    """The small-factor prefilter: the smallest degree d <= d_max of an
+    irreducible factor of p, or None.
 
     The squaring chain h_k = X^(2^k) mod p runs on p itself for
-    k <= min(depth, n): gcd(h_k - X, p) != 1 first at k = d, the
-    small-factor prefilter, taken as gcd(X^L + 1, p mod (X^L + 1)) on L bits
-    when L = 2^k - 1 < n and p(0) = 1.  Such a gcd does not read h_k, which
-    is then the monomial X^(2^k), of degree at most n, so a chain of depth
-    13 does real reduction work at only its last few steps.  A survivor of
-    the prefilter is irreducible iff it is squarefree, gcd(p, p') = 1, and
-    Berlekamp's rank counts one factor; the rank alone would count one on
-    the cube of an irreducible.
+    k <= min(d_max, n): gcd(h_k - X, p) != 1 first at k = d, taken as
+    gcd(X^L + 1, p mod (X^L + 1)) on L bits when L = 2^k - 1 < n and
+    p(0) = 1.  Such a gcd does not read h_k, which is then the monomial
+    X^(2^k), of degree at most n, so a chain of depth 13 does real
+    reduction work at only its last few steps.  The benchmark's tracer
+    wraps this name as its prefilter boundary.
     """
     n = _degree(p)
     h = 2
-    for k in range(1, min(depth, n) + 1):
+    for k in range(1, min(d_max, n) + 1):
         h = _rem(_sqr(h), p)
         L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide p if p(0) = 1
         g = _gcd((1 << L) | 1, _fold(p, L)) if p & 1 and L < n else _gcd(h ^ 2, p)
         if g != 1:
             return k
-    if rabin and _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1:
-        return n
     return None
 
 
-def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
-    """The prefilter alone: the chain stops after d_max squarings.  The
-    benchmark's tracer wraps this name as its prefilter boundary."""
-    return _smallest_factor_degree(p, d_max, rabin=False)
+def _smallest_factor_degree(p: int) -> int | None:
+    """Smallest degree d of an irreducible factor of p when d <= 13 (the
+    prefilter at PREFILTER_DEPTH); else deg(p) if p is irreducible; else
+    None.  A survivor of the prefilter is irreducible iff it is squarefree,
+    gcd(p, p') = 1, and Berlekamp's rank counts one factor; the rank alone
+    would count one on the cube of an irreducible.
+    """
+    d = _smallest_factor_degree_le(p, PREFILTER_DEPTH)
+    if d is None and _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1:
+        return _degree(p)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ def is_irreducible(p: BitPoly) -> bool:
     if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
     # not for correctness (gcd(p, 0) = p): a perfect square skips the prefilter
-    return _deriv(p.bits) != 0 and _smallest_factor_degree(p.bits, DEFAULT_PREFILTER_DEPTH) == n
+    return _deriv(p.bits) != 0 and _smallest_factor_degree(p.bits) == n
 
 
 def factor_count(p: BitPoly) -> FactorCount:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from . import gf2poly, swan
 from ._pool import pool_map
-from .gf2poly import DEFAULT_PREFILTER_DEPTH, PentShape
+from .gf2poly import PentShape
 from .zpoly import ConsistencyError
 
 __all__ = [
@@ -113,11 +113,7 @@ def enumerate_shapes(
     )
 
 
-def classify_shape(
-    shape: PentShape,
-    prune: bool = True,
-    prefilter_depth: int = DEFAULT_PREFILTER_DEPTH,
-) -> tuple[str, int | None]:
+def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | None]:
     """Classify one shape; returns (outcome, prefilter factor bound)."""
     n, s = shape.n, shape.s
     if prune and s % 2 == 0 and swan.thm1_reducible(shape):
@@ -126,7 +122,7 @@ def classify_shape(
         # every exponent even: the polynomial is a perfect square
         return REDUCIBLE_SQUARE, None
     p = gf2poly.pent_poly(shape)
-    d = gf2poly._smallest_factor_degree(p.bits, prefilter_depth)
+    d = gf2poly._smallest_factor_degree(p.bits)
     if d == n:
         if s % 2 == 0 and swan.thm1_reducible(shape):
             # the even-s closed form forbids this residue; finding one
@@ -140,11 +136,11 @@ def classify_shape(
     return REDUCIBLE_FULL_TEST, None
 
 
-def _classify_timed(ns: tuple[int, int], prune: bool, depth: int):
+def _classify_timed(ns: tuple[int, int], prune: bool):
     t0 = time.perf_counter_ns()
     message = None
     try:
-        outcome, bound = classify_shape(PentShape(ns[0], ns[1]), prune, depth)
+        outcome, bound = classify_shape(PentShape(ns[0], ns[1]), prune)
     except Exception as e:  # anomalies become records, never abort the run
         outcome, bound, message = ERROR, None, f"{type(e).__name__}: {e}"
     return ns[0], ns[1], outcome, (time.perf_counter_ns() - t0) // 1000, bound, message
@@ -153,7 +149,6 @@ def _classify_timed(ns: tuple[int, int], prune: bool, depth: int):
 def survey(
     shapes: Iterable[PentShape],
     prune: bool = True,
-    prefilter_depth: int = DEFAULT_PREFILTER_DEPTH,
     jobs: int | None = 1,
 ) -> Iterator[SearchRecord]:
     """Classify every shape, yielding records in input order.
@@ -162,7 +157,7 @@ def survey(
     order and contents are independent of the worker count (only elapsed_us
     varies).  ``jobs=None`` uses all cores.
     """
-    classify = partial(_classify_timed, prune=prune, depth=prefilter_depth)
+    classify = partial(_classify_timed, prune=prune)
     rows = pool_map(classify, ((sh.n, sh.s) for sh in shapes), jobs, _SHAPES_PER_TASK)
     return (SearchRecord(*row) for row in rows)
 
@@ -176,11 +171,11 @@ class SurveyStats:
 
     total_checked: int = 0
     total_irreducible: int = 0
-    n_mod8: dict[int, int] | None = None
-    s_mod8: dict[int, int] | None = None
+    n_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
+    s_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
     distinct_n_with_irr: int = 0
     errors: int = 0
-    outcomes: dict[str, tuple[int, int]] | None = None
+    outcomes: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def frequency(self) -> float:
@@ -198,7 +193,7 @@ class SurveyStats:
             "arbitrary_poly_baseline": ARBITRARY_POLY_BASELINE,
             "outcomes": {
                 outcome: {"count": count, "mean_us": us / count}
-                for outcome, (count, us) in (self.outcomes or {}).items()
+                for outcome, (count, us) in self.outcomes.items()
             },
         }
 
@@ -252,6 +247,8 @@ def _csv_record(row: list[str]) -> SearchRecord:
 
 def _jsonl_record(line: str) -> SearchRecord:
     d = json.loads(line)
+    if not isinstance(d, dict) or not d.keys() >= set(CSV_HEADER):
+        raise ValueError(f"expected a JSON object with {','.join(CSV_HEADER)}: {line.strip()}")
     return SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
 
 
@@ -283,12 +280,6 @@ def read_jsonl(src: TextIO) -> list[SearchRecord]:
     return [_jsonl_record(line) for line in src if line.strip()]
 
 
-def checkpoint_restart_n(records: Sequence[SearchRecord]) -> int | None:
-    """Where to restart an interrupted append-ordered run: the largest n in
-    the file, whose records may be incomplete and must be redone."""
-    return max((rec.n for rec in records), default=None)
-
-
 def resume_point(src: BinaryIO, fmt: str) -> tuple[int | None, int, list[SearchRecord]]:
     """Where to resume the interrupted run whose CSV or JSONL output ``src``
     holds: (restart, offset, kept).
@@ -314,7 +305,7 @@ def resume_point(src: BinaryIO, fmt: str) -> tuple[int | None, int, list[SearchR
     else:
         rows = [(at, text) for at, text in rows if text.strip()]
         records = [_jsonl_record(text) for _, text in rows]
-    restart = checkpoint_restart_n(records)
+    restart = max((rec.n for rec in records), default=None)
     if restart is None:
         return None, 0, []
     first = next(i for i, rec in enumerate(records) if rec.n == restart)

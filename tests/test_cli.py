@@ -215,7 +215,7 @@ def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatc
     # even-s shapes with n = 3, 5 (mod 8), and those rows come back "error"
     from pentaswan import gf2poly
 
-    monkeypatch.setattr(gf2poly, "_smallest_factor_degree", lambda p, depth: p.bit_length() - 1)
+    monkeypatch.setattr(gf2poly, "_smallest_factor_degree", lambda p: p.bit_length() - 1)
     out_path = tmp_path / "errors.csv"
     code, _, err = run(
         capsys, "search", "--n-min", "7", "--n-max", "14", "--no-prune",
@@ -320,6 +320,7 @@ def test_search_usage_errors(capsys):
     assert run(capsys, "search", "--n-max", "20", "--format", "xml")[0] == 1
     assert run(capsys, "search", "--n-max", "20", "--resume")[0] == 1
     assert run(capsys, "search", "--n-min", "3", "--n-max", "20")[0] == 1
+    assert run(capsys, "search", "--n-max", "20", "--prefilter-depth", "13")[0] == 1
 
 
 def test_stats_reads_jsonl_and_stdin_dash(capsys, tmp_path, monkeypatch):
@@ -341,13 +342,33 @@ def test_stats_missing_file(capsys):
     assert run(capsys, "stats", "/nonexistent/run.csv")[0] == 1
 
 
-@pytest.mark.parametrize("text", ["", "7,2,irr,5\n9,2,irr,6\n"])
-def test_stats_empty_or_headerless_csv_exits_1(capsys, tmp_path, text):
+JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "expected CSV header"),
+    ("7,2,irr,5\n9,2,irr,6\n", "expected CSV header"),
+    ('{"n": 7, "s": 2}\n', 'elapsed_us: {"n": 7, "s": 2}'),
+    (JSONL_ROW + "[1]\n", "elapsed_us: [1]"),
+], ids=["empty", "headerless", "missing-field", "not-an-object"])
+def test_stats_malformed_input_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "run.csv"
     path.write_text(text)
     code, _, err = run(capsys, "stats", str(path))
     assert code == 1
-    assert "expected CSV header" in err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_search_resume_on_malformed_jsonl_exits_1_and_keeps_the_file(capsys, tmp_path):
+    out_path = tmp_path / "run.jsonl"
+    out_path.write_text(JSONL_ROW + '{"n": 9, "s": 2}\n[1]\n')
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", "--n-min", "7", "--n-max", "14", "--jobs", "1",
+                       "--format", "jsonl", "--out", str(out_path), "--resume")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out_path.read_bytes() == before
 
 
 # --- verify -----------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def test_fused_chain_matches_oracle_on_every_shape_below_200():
     for parity in ("even", "odd"):
         for shape in enumerate_shapes(7, 200, parity, "all"):
             p = pent_poly(shape).bits
-            assert gf2poly._smallest_factor_degree(p, 13) == (
+            assert gf2poly._smallest_factor_degree(p) == (
                 oracles.naive_smallest_factor_degree(p, 13)
             ), shape
 
@@ -319,12 +319,14 @@ def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
             p = BitPoly((1 << deg) | rng.getrandbits(deg) | 1)
         degrees = sorted(f.bit_length() - 1 for f in oracles.naive_factors(p.bits))
         depth = rng.randrange(0, 14)
-        if degrees[0] <= min(depth, deg - 1):
+        shallow = degrees[0] if degrees[0] <= depth else None
+        if degrees[0] <= 13:
             expected = degrees[0]
         else:
             expected = deg if len(degrees) == 1 else None
         for q in (p, reciprocal(p)):
-            assert gf2poly._smallest_factor_degree(q.bits, depth) == expected, (q, depth)
+            assert gf2poly._smallest_factor_degree_le(q.bits, depth) == shallow, (q, depth)
+            assert gf2poly._smallest_factor_degree(q.bits) == expected, q
 
 
 # --- folded gcds and the survivor decision, against the slow paths they replace
@@ -368,7 +370,7 @@ def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
         n, s = table[i * len(table) // len(cases)]
         p = gf2poly._mul(g, pent_poly(PentShape(n, s)).bits)
         expected = 1 if g == 2 else None
-        assert gf2poly._smallest_factor_degree(p, 13) == expected, (n, s, g)
+        assert gf2poly._smallest_factor_degree(p) == expected, (n, s, g)
         assert not is_irreducible(BitPoly(p)), (n, s, g)
         if g != 2:
             monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
@@ -387,14 +389,14 @@ def test_non_squarefree_survivors_are_reducible():
     assert gf2poly._count_factors_squarefree(cube) == 1
     for q in (cube, power(small, 3), gf2poly._mul(power(big, 2), small),
               gf2poly._mul(power(small, 2), big)):
-        assert gf2poly._smallest_factor_degree(q, 13) is None, q.bit_length() - 1
+        assert gf2poly._smallest_factor_degree(q) is None, q.bit_length() - 1
         assert not is_irreducible(BitPoly(q)), q.bit_length() - 1
 
 
 def test_table2_irreducibles_above_720_stay_irreducible():
     for n, s in random.Random(25).sample(table2_shapes(721), 8):
         p = pent_poly(PentShape(n, s))
-        assert gf2poly._smallest_factor_degree(p.bits, 13) == n, (n, s)
+        assert gf2poly._smallest_factor_degree(p.bits) == n, (n, s)
         assert is_irreducible(p), (n, s)
         assert search.classify_shape(PentShape(n, s)) == ("irr", None), (n, s)
 
@@ -419,7 +421,7 @@ def test_survivor_decision_matches_rabin_chain_at_production_degrees():
     verdicts = []
     for n, s in shapes:
         p = pent_poly(PentShape(n, s)).bits
-        verdict = gf2poly._smallest_factor_degree(p, 13)
+        verdict = gf2poly._smallest_factor_degree(p)
         assert verdict == oracles.rabin_smallest_factor_degree(p, 13), (n, s)
         verdicts.append(verdict)
     assert verdicts[:24] == [n for n, _ in shapes[:24]]

@@ -1,7 +1,11 @@
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
+import pentaswan
+from pentaswan import gf2poly, swan, zpoly
 from pentaswan.gf2poly import PentShape
 from pentaswan.search import (
     CSV_HEADER,
@@ -12,7 +16,7 @@ from pentaswan.search import (
     REDUCIBLE_SQUARE,
     REDUCIBLE_THM1,
     SearchRecord,
-    checkpoint_restart_n,
+    SurveyStats,
     classify_shape,
     enumerate_shapes,
     read_csv,
@@ -97,12 +101,9 @@ def test_classify_prefilter_records_degree():
 
 def test_classify_irreducible_and_full_test():
     assert classify_shape(PentShape(7, 2)) == (IRREDUCIBLE, None)
-    # with the prefilter disabled, a reducible survivor must fall through
-    # to the full test
-    assert classify_shape(PentShape(11, 2), prune=False, prefilter_depth=0) == (
-        REDUCIBLE_FULL_TEST,
-        None,
-    )
+    # pent(35, 2) has two factors, neither of degree <= 13: a reducible
+    # survivor of the prefilter must fall through to the full test
+    assert classify_shape(PentShape(35, 2), prune=False) == (REDUCIBLE_FULL_TEST, None)
 
 
 def test_classify_odd_gap_shapes_skip_certificates():
@@ -182,13 +183,47 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
     from pentaswan.zpoly import ConsistencyError
 
     monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree",
-                        lambda p, depth: p.bit_length() - 1)
+                        lambda p: p.bit_length() - 1)
     with pytest.raises(ConsistencyError):
-        classify_shape(PentShape(11, 2), prune=False, prefilter_depth=0)
-    records = list(
-        survey([PentShape(11, 2)], prune=False, prefilter_depth=0, jobs=1)
-    )
+        classify_shape(PentShape(11, 2), prune=False)
+    records = list(survey([PentShape(11, 2)], prune=False, jobs=1))
     assert [r.outcome for r in records] == ["error"]
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
+    # (2401, 388) is a table2 irreducible; (14, 4) is a square; the even-s
+    # shapes with n = 3, 5 (mod 8) or n even are pruned when prune is on
+    shapes = [PentShape(n, s) for n, s in
+              ((2401, 388), (7, 2), (9, 2), (11, 2), (13, 2), (13, 3), (14, 4), (35, 2))]
+    prefilter = gf2poly._smallest_factor_degree_le
+    called = []
+
+    def counted(p, d_max):
+        called.append(p)
+        return prefilter(p, d_max)
+
+    monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", counted)
+    records = list(survey(shapes, prune=prune, jobs=1))
+    tested = [rec for rec in records if rec.outcome not in (REDUCIBLE_THM1, REDUCIBLE_SQUARE)]
+    assert called == [gf2poly.pent_poly(PentShape(r.n, r.s)).bits for r in tested]
+    assert records[0].outcome == IRREDUCIBLE
+    skipped = REDUCIBLE_THM1 if prune else REDUCIBLE_SQUARE
+    assert {r.outcome for r in records} >= {skipped, REDUCIBLE_SMALL_FACTOR}
+    assert 0 < len(tested) < len(shapes)
+
+
+def test_benchmark_tracer_boundaries_exist():
+    # a boundary the library no longer has reads as zero calls in the
+    # benchmark, so a rename must fail here
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for group in tracer.boundaries(pentaswan).values() for t in group]
+    assert {module for module, _ in targets} == {gf2poly, zpoly, swan}
+    for module, attr in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 def test_prefilter_rejections_audited_by_full_test():
@@ -234,6 +269,10 @@ def test_stats_empty_stream():
     assert agg.to_json_dict()["outcomes"] == {}
 
 
+def test_default_survey_stats_serialize_as_an_empty_run():
+    assert SurveyStats().to_json_dict() == stats([]).to_json_dict()
+
+
 def test_stats_counts_error_rows():
     clean = stats(sample_records()).to_json_dict()
     failed = [SearchRecord(13, 2, ERROR, 5), SearchRecord(13, 4, ERROR, 6)]
@@ -277,11 +316,6 @@ def test_jsonl_round_trip():
     buf.seek(0)
     back = read_jsonl(buf)
     assert [r.key for r in back] == [r.key for r in sample_records()]
-
-
-def test_checkpoint_restart():
-    assert checkpoint_restart_n([]) is None
-    assert checkpoint_restart_n(sample_records()) == 11
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
