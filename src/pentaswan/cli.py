@@ -206,7 +206,8 @@ def _cmd_search(args) -> int:
 def _cmd_stats(args) -> int:
     with open(args.input) if args.input != "-" else nullcontext(sys.stdin) as f:
         text = f.read()
-    read = search.read_jsonl if text.startswith("{") else search.read_csv
+    # JSONL iff the first non-blank line opens an object; read_jsonl skips blank lines
+    read = search.read_jsonl if text.lstrip().startswith("{") else search.read_csv
     records = read(text.splitlines(True))
     print(json.dumps(search.stats(records).to_json_dict(), indent=2, sort_keys=True))
     return 0

@@ -14,7 +14,9 @@ two ``bytes.translate`` table maps.  ``_smallest_factor_degree_le`` is
 the small-factor prefilter: one short squaring chain per polynomial, each
 step a square and a plain remainder modulo p, with folded gcds.  Factor
 counts take no chain and no gcd: each squarefree part is counted by
-Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part.
+Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part;
+the pivots sit in a list indexed by bit length, and the first half of the
+rows, X^(2i) + X^i with distinct tops, is written in without elimination.
 ``_smallest_factor_degree`` runs the prefilter at PREFILTER_DEPTH = 13;
 a polynomial that survives it is irreducible iff gcd(p, p') = 1 and that
 rank counts one factor.
@@ -186,25 +188,36 @@ def _reverse(a: int) -> int:
 def _count_factors_squarefree(g: int) -> int:
     """Number of irreducible factors of squarefree g, by Berlekamp's rank:
     it is dim ker(Q - I) = n - rank(Q - I), where row i of Q is X^(2i) mod g
-    for i < n = deg(g).  The rows of Q - I are eliminated by their top bit."""
+    for i < n = deg(g).  The rows of Q - I are eliminated by their top bit,
+    with the pivot of bit length b in slot b of a list.  For i < half =
+    ceil(n/2), 2i < n, so row i is X^(2i) + X^i: zero at i = 0, else of
+    bit length 2i + 1, distinct.  Those rows are written straight into
+    their slots, and only rows i >= half are eliminated."""
     n = _degree(g)
-    pivots: dict[int, int] = {}
-    row = 1
-    for i in range(n):
+    half = (n + 1) // 2
+    pivots = [0] * (n + 2)
+    for i in range(1, half):
+        pivots[2 * i + 1] = (1 << 2 * i) | (1 << i)
+    rank = max(half - 1, 0)
+    g2 = g << 1
+    row = _rem(1 << 2 * half, g)
+    for i in range(half, n):
         r = row ^ (1 << i)
         while r:
             top = r.bit_length()
-            if top not in pivots:
+            p = pivots[top]
+            if not p:
                 pivots[top] = r
+                rank += 1
                 break
-            r ^= pivots[top]
+            r ^= p
         # X^(2i+2) mod g: shift by 2, then clear bits n+1 and n
         row <<= 2
-        if row >> (n + 1):
-            row ^= g << 1
-        if row >> n:
+        if row.bit_length() > n + 1:
+            row ^= g2
+        if row.bit_length() > n:
             row ^= g
-    return n - len(pivots)
+    return n - rank
 
 
 def _fold(a: int, L: int) -> int:

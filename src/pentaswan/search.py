@@ -240,16 +240,28 @@ def write_csv(records: Iterable[SearchRecord], out: TextIO, header: bool = True)
     return count
 
 
+_ROW_RULE = f"integer n,s,elapsed_us and an outcome in {','.join(OUTCOMES)}"
+
+
 def _csv_record(row: list[str]) -> SearchRecord:
-    n, s, outcome, elapsed = row
-    return SearchRecord(int(n), int(s), outcome, int(elapsed))
+    if len(row) == len(CSV_HEADER) and row[2] in OUTCOMES:
+        n, s, outcome, elapsed = row
+        try:
+            return SearchRecord(int(n), int(s), outcome, int(elapsed))
+        except ValueError:
+            pass
+    raise ValueError(f"expected {len(CSV_HEADER)} fields with {_ROW_RULE}: {','.join(row)}")
 
 
 def _jsonl_record(line: str) -> SearchRecord:
     d = json.loads(line)
     if not isinstance(d, dict) or not d.keys() >= set(CSV_HEADER):
         raise ValueError(f"expected a JSON object with {','.join(CSV_HEADER)}: {line.strip()}")
-    return SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
+    rec = SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
+    # type() is int, not isinstance: bool subclasses int; int() would pass "7" and 7.5
+    if type(rec.n) is type(rec.s) is type(rec.elapsed_us) is int and rec.outcome in OUTCOMES:
+        return rec
+    raise ValueError(f"expected {_ROW_RULE}: {line.strip()}")
 
 
 def _check_csv_header(header: list[str] | None) -> None:

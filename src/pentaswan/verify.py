@@ -72,20 +72,20 @@ def _even_s_values(n: int) -> range:
 def _parity_column(n: int) -> tuple[int, list[str], list[str]]:
     checked = 0
     failures = []
-    notes = []
     for s in _even_s_values(n):
         shape = PentShape(n, s)
         p = gf2poly.pent_poly(shape)
+        checked += 1
+        # p = X^(n-3s) (X^s + 1)^3 + 1, so for odd n and even s,
+        # p' = X^(n-3s-1) (X^s + 1)^3 while p = 1 (mod X^s + 1): gcd(p, p') = 1
         if not gf2poly.is_squarefree(p):
-            # the parity bridge needs squarefree inputs; report, don't assert
-            notes.append(f"non-squarefree pentanomial at (n={n}, s={s})")
+            failures.append(f"(n={n}, s={s}): not squarefree, against gcd(p, p') = 1")
             continue
         predicted = swan.pent_parity(shape).parity
         observed = gf2poly.factor_count(p).parity
-        checked += 1
         if predicted != observed:
             failures.append(f"(n={n}, s={s}): predicted {predicted}, observed {observed}")
-    return checked, failures, notes
+    return checked, failures, []
 
 
 def pent_parity_agreement(n_max: int = 500, jobs: int | None = 1) -> CheckResult:

@@ -152,6 +152,32 @@ def ddf_count_factors_squarefree(g: int) -> int:
     return count
 
 
+def berlekamp_count_factors_squarefree(g: int) -> int:
+    """Number of irreducible factors of squarefree g, by Berlekamp's rank:
+    it is dim ker(Q - I) = n - rank(Q - I), where row i of Q is X^(2i) mod g
+    for i < n = deg(g).  The rows of Q - I are eliminated by their top bit.
+    This is the kernel that ``gf2poly._count_factors_squarefree`` replaced,
+    kept as it was: pivots in a dict, every row eliminated, none seeded."""
+    n = g.bit_length() - 1
+    pivots: dict[int, int] = {}
+    row = 1
+    for i in range(n):
+        r = row ^ (1 << i)
+        while r:
+            top = r.bit_length()
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+        # X^(2i+2) mod g: shift by 2, then clear bits n+1 and n
+        row <<= 2
+        if row >> (n + 1):
+            row ^= g << 1
+        if row >> n:
+            row ^= g
+    return n - len(pivots)
+
+
 def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
     """Smallest degree d of an irreducible factor of p when d <= depth;
     else, with ``rabin``, deg(p) if p is irreducible; else None.

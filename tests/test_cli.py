@@ -350,7 +350,17 @@ JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
     ("7,2,irr,5\n9,2,irr,6\n", "expected CSV header"),
     ('{"n": 7, "s": 2}\n', 'elapsed_us: {"n": 7, "s": 2}'),
     (JSONL_ROW + "[1]\n", "elapsed_us: [1]"),
-], ids=["empty", "headerless", "missing-field", "not-an-object"])
+    ('{"n": "7", "s": 2, "outcome": "irr", "elapsed_us": 5}\n', '{"n": "7", "s": 2'),
+    ('{"n": 7, "s": true, "outcome": "irr", "elapsed_us": 5}\n', '"s": true'),
+    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5.0}\n', '"elapsed_us": 5.0'),
+    ('{"n": 7, "s": 2, "outcome": "bogus", "elapsed_us": 5}\n', '"outcome": "bogus"'),
+    ("n,s,outcome,elapsed_us\n7,2,bogus,5\n", "7,2,bogus,5"),
+    ("n,s,outcome,elapsed_us\n7,2,irr\n", "fields with integer n,s,elapsed_us"),
+    ("n,s,outcome,elapsed_us\n7,2,irr,5,0\n", "7,2,irr,5,0"),
+    ("n,s,outcome,elapsed_us\n7,x,irr,5\n", "7,x,irr,5"),
+], ids=["empty", "headerless", "missing-field", "not-an-object", "string-n", "bool-s",
+        "float-elapsed", "unknown-outcome", "csv-unknown-outcome", "csv-three-fields",
+        "csv-five-fields", "csv-not-an-int"])
 def test_stats_malformed_input_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "run.csv"
     path.write_text(text)
@@ -369,6 +379,29 @@ def test_search_resume_on_malformed_jsonl_exits_1_and_keeps_the_file(capsys, tmp
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert out_path.read_bytes() == before
+
+
+def test_search_resume_on_a_mistyped_csv_row_exits_1_and_keeps_the_file(capsys, tmp_path):
+    out_path = tmp_path / "run.csv"
+    out_path.write_text("n,s,outcome,elapsed_us\n7,2,irr,5\n9,2,bogus,6\n")
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", "--n-min", "7", "--n-max", "14", "--jobs", "1",
+                       "--out", str(out_path), "--resume")
+    assert code == 1
+    assert err.startswith("error: ") and "9,2,bogus,6" in err and "Traceback" not in err
+    assert out_path.read_bytes() == before
+
+
+def test_stats_sniffs_jsonl_past_leading_blank_lines(capsys, tmp_path):
+    out_path = tmp_path / "run.jsonl"
+    run(capsys, "search", "--n-min", "7", "--n-max", "20", "--format", "jsonl",
+        "--jobs", "1", "--out", str(out_path))
+    code, plain, _ = run(capsys, "stats", str(out_path))
+    assert code == 0
+    out_path.write_text("\n  \n" + out_path.read_text())
+    code, padded, err = run(capsys, "stats", str(out_path))
+    assert code == 0, err
+    assert padded == plain
 
 
 # --- verify -----------------------------------------------------------------------------

@@ -359,20 +359,29 @@ def random_irreducible(rng, degree):
             return g
 
 
-def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
-    # g * P with P a table2 irreducible of degree >= 721: g is X, which the
-    # prefilter finds, or an irreducible of degree > 13, which only the
-    # squarefree gcd plus Berlekamp's rank (two factors) can decide
+def table2_products():
+    """(n, s, g, g * P) with P = pent(n, s) a table2 irreducible of degree
+    >= 721, and g either X or a seeded irreducible of a FACTOR_DEGREES degree."""
     rng = random.Random(24)
     table = sorted(table2_shapes(721))
     cases = [2] + [random_irreducible(rng, d) for d in FACTOR_DEGREES]
+    out = []
     for i, g in enumerate(cases):
         n, s = table[i * len(table) // len(cases)]
-        p = gf2poly._mul(g, pent_poly(PentShape(n, s)).bits)
+        out.append((n, s, g, gf2poly._mul(g, pent_poly(PentShape(n, s)).bits)))
+    return out
+
+
+def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
+    # g * P: g is X, which the prefilter finds, or an irreducible of degree
+    # > 13, which only the squarefree gcd plus Berlekamp's rank (two
+    # factors) can decide
+    for n, s, g, p in table2_products():
         expected = 1 if g == 2 else None
         assert gf2poly._smallest_factor_degree(p) == expected, (n, s, g)
         assert not is_irreducible(BitPoly(p)), (n, s, g)
         if g != 2:
+            assert gf2poly._count_factors_squarefree(p) == 2, (n, s, g)
             monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
             assert search.classify_shape(PentShape(n, s)) == ("red_full", None), (n, s, g)
             monkeypatch.undo()
@@ -415,9 +424,14 @@ def production_survivors(rng, count):
     return out
 
 
-def test_survivor_decision_matches_rabin_chain_at_production_degrees():
+def production_shapes():
+    """24 seeded table2 irreducibles with n >= 2401, then 48 production survivors."""
     rng = random.Random(28)
-    shapes = rng.sample(table2_shapes(2401), 24) + production_survivors(rng, 48)
+    return rng.sample(table2_shapes(2401), 24) + production_survivors(rng, 48)
+
+
+def test_survivor_decision_matches_rabin_chain_at_production_degrees():
+    shapes = production_shapes()
     verdicts = []
     for n, s in shapes:
         p = pent_poly(PentShape(n, s)).bits
@@ -426,6 +440,16 @@ def test_survivor_decision_matches_rabin_chain_at_production_degrees():
         verdicts.append(verdict)
     assert verdicts[:24] == [n for n, _ in shapes[:24]]
     assert None in verdicts[24:]
+
+
+def test_rank_kernel_matches_the_dict_kernel_at_production_degrees():
+    # the DDF oracle takes about 1 s a call at degree 3,000, so the kernel
+    # that the seeded, list-indexed one replaced is the oracle here
+    polys = [pent_poly(PentShape(n, s)).bits for n, s in production_shapes()]
+    polys += [p for _, _, _, p in table2_products()]
+    counts = [gf2poly._count_factors_squarefree(p) for p in polys]
+    assert counts == [oracles.berlekamp_count_factors_squarefree(p) for p in polys]
+    assert counts[:24] == [1] * 24 and counts[-8:] == [2] * 8
 
 
 # --- small-factor prefilter ----------------------------------------------------

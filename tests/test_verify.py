@@ -1,6 +1,7 @@
 import time
 
-from pentaswan import verify
+from pentaswan import gf2poly, verify
+from pentaswan.gf2poly import PentShape
 
 SMALL = dict(parity_max=40, thm1_max=40, disc_max=20, trinomial_max=30,
              powersum_max=40, pair_max=30)
@@ -29,3 +30,24 @@ def test_sweep_merges_columns_in_n_order():
         assert result.checked == sum(ns)
         assert result.failures == [f"failure at {n}" for n in ns]
         assert result.notes == [f"note at {n}" for n in ns if n % 3]
+
+
+def test_odd_n_even_s_pentanomials_are_squarefree():
+    # why the parity suite may fail a non-squarefree shape: over GF(2),
+    # p = X^(n-3s) (X^s + 1)^3 + 1; for odd n and even s,
+    # p' = X^(n-3s-1) (X^s + 1)^3, and p = 1 (mod X^s + 1), so no factor
+    # of p' divides p (p(0) = 1 rules out X)
+    for n in range(7, 600, 2):
+        for s in verify._even_s_values(n):
+            p = gf2poly.pent_poly(PentShape(n, s)).bits
+            cube = gf2poly._mul(gf2poly._mul((1 << s) | 1, (1 << s) | 1), (1 << s) | 1)
+            assert p == gf2poly._mul(1 << (n - 3 * s), cube) ^ 1, (n, s)
+            assert gf2poly._deriv(p) == gf2poly._mul(1 << (n - 3 * s - 1), cube), (n, s)
+            assert gf2poly._rem(p, (1 << s) | 1) == 1, (n, s)
+
+
+def test_a_non_squarefree_parity_shape_is_a_failure(monkeypatch):
+    monkeypatch.setattr(gf2poly, "is_squarefree", lambda p: False)
+    checked, failures, notes = verify._parity_column(13)
+    assert checked == len(verify._even_s_values(13)) == len(failures) == 2
+    assert notes == [] and "not squarefree" in failures[0]
