@@ -7,14 +7,13 @@ certificate disposes of roughly half the shapes without touching a single
 polynomial coefficient.
 """
 
-from collections import Counter
-
 from pentaswan import enumerate_shapes, stats, survey
 
 records = list(survey(enumerate_shapes(7, 200), jobs=None))
+agg = stats(records)
 
 print("outcome breakdown:")
-for outcome, count in Counter(r.outcome for r in records).most_common():
+for outcome, (count, _) in sorted(agg.outcomes.items(), key=lambda item: -item[1][0]):
     print(f"  {outcome:>12}: {count}")
 
 print()
@@ -23,7 +22,6 @@ irr = [(r.n, r.s) for r in records if r.outcome == "irr"]
 for n in sorted({n for n, _ in irr}):
     print(f"  {n:>4}: {sorted(s for m, s in irr if m == n)}")
 
-agg = stats(records)
 print()
 print(f"checked {agg.total_checked}, irreducible {agg.total_irreducible} "
       f"({100 * agg.frequency:.2f}%)")

@@ -17,7 +17,6 @@ from .gf2poly import (
     derivative,
     factor_count,
     gcd,
-    has_factor_of_degree_le,
     is_irreducible,
     is_squarefree,
     mul,

@@ -35,7 +35,6 @@ __all__ = [
     "derivative",
     "factor_count",
     "gcd",
-    "has_factor_of_degree_le",
     "is_irreducible",
     "is_squarefree",
     "mul",
@@ -488,17 +487,3 @@ def factor_count(p: BitPoly) -> FactorCount:
         raise ValueError("factor counting needs degree at least 1")
     total = sum(e * _count_factors_squarefree(g) for g, e in _squarefree_parts(p.bits))
     return FactorCount(total, "odd" if total & 1 else "even")
-
-
-def has_factor_of_degree_le(p: BitPoly, d_max: int) -> bool:
-    """True iff p has an irreducible factor of degree at most d_max.
-
-    Checks gcd(X^(2^d) - X, p) for d = 1..d_max: d_max modular squarings
-    plus d_max gcds, each on at most 2^d bits while 2^d <= deg(p) and
-    p(0) = 1, else at full size.  Requires deg(p) > d_max >= 1.
-    """
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    if _degree(p.bits) <= d_max:
-        raise ValueError("require deg(p) > d_max")
-    return _smallest_factor_degree_le(p.bits, d_max) is not None

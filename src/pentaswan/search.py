@@ -21,7 +21,7 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from . import gf2poly, swan
 from ._pool import pool_map
-from .gf2poly import PentShape
+from .gf2poly import PentShape, ShapeError
 from .zpoly import ConsistencyError
 
 __all__ = [
@@ -165,17 +165,26 @@ def survey(
 @dataclass
 class SurveyStats:
     """Aggregates of a survey run; histograms cover irreducible records.
-    ``errors`` counts the error records, which ``total_checked`` includes.
     ``outcomes`` maps each outcome token seen to (records, summed
-    elapsed_us)."""
+    elapsed_us), the one tally that ``total_checked``, ``total_irreducible``
+    and ``errors`` (error records, which ``total_checked`` includes) read."""
 
-    total_checked: int = 0
-    total_irreducible: int = 0
     n_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
     s_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
     distinct_n_with_irr: int = 0
-    errors: int = 0
     outcomes: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def total_checked(self) -> int:
+        return sum(count for count, _ in self.outcomes.values())
+
+    @property
+    def total_irreducible(self) -> int:
+        return self.outcomes.get(IRREDUCIBLE, (0, 0))[0]
+
+    @property
+    def errors(self) -> int:
+        return self.outcomes.get(ERROR, (0, 0))[0]
 
     @property
     def frequency(self) -> float:
@@ -199,28 +208,21 @@ class SurveyStats:
 
 
 def stats(records: Iterable[SearchRecord]) -> SurveyStats:
-    """Totals, mod-8 histograms over the irreducible records, the error
-    count, records and time per outcome, and the irreducibility frequency
-    among everything checked."""
+    """Records and time per outcome, mod-8 histograms over the irreducible
+    records, and from them the totals, the error count and the
+    irreducibility frequency among everything checked."""
     n_hist = {r: 0 for r in range(8)}
     s_hist = {r: 0 for r in range(8)}
-    total = 0
-    irr = 0
-    errors = 0
     irr_ns: set[int] = set()
     outcomes: dict[str, tuple[int, int]] = {}
     for rec in records:
-        total += 1
         count, us = outcomes.get(rec.outcome, (0, 0))
         outcomes[rec.outcome] = (count + 1, us + rec.elapsed_us)
         if rec.outcome == IRREDUCIBLE:
-            irr += 1
             n_hist[rec.n % 8] += 1
             s_hist[rec.s % 8] += 1
             irr_ns.add(rec.n)
-        elif rec.outcome == ERROR:
-            errors += 1
-    return SurveyStats(total, irr, n_hist, s_hist, len(irr_ns), errors, outcomes)
+    return SurveyStats(n_hist, s_hist, len(irr_ns), outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +242,25 @@ def write_csv(records: Iterable[SearchRecord], out: TextIO, header: bool = True)
     return count
 
 
-_ROW_RULE = f"integer n,s,elapsed_us and an outcome in {','.join(OUTCOMES)}"
+_ROW_RULE = ("integer n,s,elapsed_us with n >= 7, s >= 1, n > 3s, elapsed_us >= 0 "
+             f"and an outcome in {','.join(OUTCOMES)}")
+
+
+def _in_range(rec: SearchRecord) -> bool:
+    try:
+        PentShape(rec.n, rec.s)
+    except ShapeError:
+        return False
+    return rec.elapsed_us >= 0
 
 
 def _csv_record(row: list[str]) -> SearchRecord:
     if len(row) == len(CSV_HEADER) and row[2] in OUTCOMES:
         n, s, outcome, elapsed = row
         try:
-            return SearchRecord(int(n), int(s), outcome, int(elapsed))
+            rec = SearchRecord(int(n), int(s), outcome, int(elapsed))
+            if _in_range(rec):
+                return rec
         except ValueError:
             pass
     raise ValueError(f"expected {len(CSV_HEADER)} fields with {_ROW_RULE}: {','.join(row)}")
@@ -259,7 +272,8 @@ def _jsonl_record(line: str) -> SearchRecord:
         raise ValueError(f"expected a JSON object with {','.join(CSV_HEADER)}: {line.strip()}")
     rec = SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
     # type() is int, not isinstance: bool subclasses int; int() would pass "7" and 7.5
-    if type(rec.n) is type(rec.s) is type(rec.elapsed_us) is int and rec.outcome in OUTCOMES:
+    if (type(rec.n) is type(rec.s) is type(rec.elapsed_us) is int
+            and rec.outcome in OUTCOMES and _in_range(rec)):
         return rec
     raise ValueError(f"expected {_ROW_RULE}: {line.strip()}")
 

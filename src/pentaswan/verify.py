@@ -6,9 +6,10 @@ closed-form discriminant vs. exact resultant).  A clean run returns zero
 failures; any failure would be a genuine finding, since the closed forms
 are supposed to be theorems.
 
-Every suite maps a column function over n and merges the columns in n
-order, which the ordered map keeps at any ``jobs``.  The discriminant and
-power-sum suites take no ``jobs`` and sweep in process (about 0.1 s each).
+Every suite maps a column function over n, each column returning its
+(checked, failures) pair, and merges the columns in n order, which the
+ordered map keeps at any ``jobs``.  The discriminant and power-sum suites
+take no ``jobs`` and sweep in process (about 0.1 s each).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class CheckResult:
     name: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -50,18 +50,15 @@ class CheckResult:
         line = f"{status} {self.name}: {self.checked} cases"
         if self.failures:
             line += f", {len(self.failures)} failures (first: {self.failures[0]})"
-        if self.notes:
-            line += f" [{'; '.join(self.notes)}]"
         return line
 
 
 def _sweep(result: CheckResult, column: Callable, ns: range, jobs: int | None) -> CheckResult:
-    """Merge ``column(n)``, a (checked, failures, notes) triple, for every n
-    of ``ns`` into ``result``, in n order."""
-    for checked, failures, notes in pool_map(column, ns, jobs):
+    """Merge ``column(n)``, a (checked, failures) pair, for every n of
+    ``ns`` into ``result``, in n order."""
+    for checked, failures in pool_map(column, ns, jobs):
         result.checked += checked
         result.failures.extend(failures)
-        result.notes.extend(notes)
     return result
 
 
@@ -69,7 +66,7 @@ def _even_s_values(n: int) -> range:
     return range(2, (n - 1) // 3 + 1, 2)
 
 
-def _parity_column(n: int) -> tuple[int, list[str], list[str]]:
+def _parity_column(n: int) -> tuple[int, list[str]]:
     checked = 0
     failures = []
     for s in _even_s_values(n):
@@ -85,7 +82,7 @@ def _parity_column(n: int) -> tuple[int, list[str], list[str]]:
         observed = gf2poly.factor_count(p).parity
         if predicted != observed:
             failures.append(f"(n={n}, s={s}): predicted {predicted}, observed {observed}")
-    return checked, failures, []
+    return checked, failures
 
 
 def pent_parity_agreement(n_max: int = 500, jobs: int | None = 1) -> CheckResult:
@@ -95,7 +92,7 @@ def pent_parity_agreement(n_max: int = 500, jobs: int | None = 1) -> CheckResult
     return _sweep(result, _parity_column, range(7, n_max, 2), jobs)
 
 
-def _thm1_column(n: int) -> tuple[int, list[str], list[str]]:
+def _thm1_column(n: int) -> tuple[int, list[str]]:
     checked = 0
     failures = []
     for s in _even_s_values(n):
@@ -105,7 +102,7 @@ def _thm1_column(n: int) -> tuple[int, list[str], list[str]]:
         checked += 1
         if gf2poly.is_irreducible(gf2poly.pent_poly(shape)):
             failures.append(f"(n={n}, s={s}): certified reducible but irreducible")
-    return checked, failures, []
+    return checked, failures
 
 
 def thm1_soundness(n_max: int = 500, jobs: int | None = 1) -> CheckResult:
@@ -115,7 +112,7 @@ def thm1_soundness(n_max: int = 500, jobs: int | None = 1) -> CheckResult:
     return _sweep(result, _thm1_column, range(7, n_max), jobs)
 
 
-def _disc_column(n: int) -> tuple[int, list[str], list[str]]:
+def _disc_column(n: int) -> tuple[int, list[str]]:
     failures = []
     expected = 1 if n % 8 in (1, 7) else 5
     for s in _even_s_values(n):
@@ -129,7 +126,7 @@ def _disc_column(n: int) -> tuple[int, list[str], list[str]]:
                 f"(n={n}, s={s}): closed {closed}, resultant {exact}, "
                 f"derivative {classical}, expected {expected}"
             )
-    return len(_even_s_values(n)), failures, []
+    return len(_even_s_values(n)), failures
 
 
 def discriminant_agreement(n_max: int = 60) -> CheckResult:
@@ -140,7 +137,7 @@ def discriminant_agreement(n_max: int = 60) -> CheckResult:
     return _sweep(result, _disc_column, range(7, n_max + 1, 2), 1)
 
 
-def _trinomial_column(n: int) -> tuple[int, list[str], list[str]]:
+def _trinomial_column(n: int) -> tuple[int, list[str]]:
     failures = []
     ks = range(1 + n % 2, n, 2)  # 0 < k < n, exactly one of n, k odd
     for k in ks:
@@ -148,7 +145,7 @@ def _trinomial_column(n: int) -> tuple[int, list[str], list[str]]:
         observed = gf2poly.factor_count(gf2poly.BitPoly.from_exponents([n, k, 0])).parity
         if predicted != observed:
             failures.append(f"(n={n}, k={k}): predicted {predicted}, observed {observed}")
-    return len(ks), failures, []
+    return len(ks), failures
 
 
 def trinomial_agreement(n_max: int = 300, jobs: int | None = 1) -> CheckResult:
@@ -158,7 +155,7 @@ def trinomial_agreement(n_max: int = 300, jobs: int | None = 1) -> CheckResult:
     return _sweep(result, _trinomial_column, range(2, n_max + 1), jobs)
 
 
-def _powersum_column(n: int, pair_max: int) -> tuple[int, list[str], list[str]]:
+def _powersum_column(n: int, pair_max: int) -> tuple[int, list[str]]:
     failures = []
     deep = n <= pair_max
     for s in _even_s_values(n):
@@ -178,7 +175,7 @@ def _powersum_column(n: int, pair_max: int) -> tuple[int, list[str], list[str]]:
                 bad.append("T_{n-s} != T_{n-3s}")
         if bad:
             failures.append(f"(n={n}, s={s}): {', '.join(bad)}")
-    return len(_even_s_values(n)), failures, []
+    return len(_even_s_values(n)), failures
 
 
 def power_sum_identities(n_max: int = 200, pair_max: int = 120) -> CheckResult:

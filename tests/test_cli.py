@@ -358,9 +358,14 @@ JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
     ("n,s,outcome,elapsed_us\n7,2,irr\n", "fields with integer n,s,elapsed_us"),
     ("n,s,outcome,elapsed_us\n7,2,irr,5,0\n", "7,2,irr,5,0"),
     ("n,s,outcome,elapsed_us\n7,x,irr,5\n", "7,x,irr,5"),
+    ("n,s,outcome,elapsed_us\n-5,2,irr,-7\n", "fields with integer n,s,elapsed_us"),
+    ("n,s,outcome,elapsed_us\n7,2,irr,5\n7,9,irr,5\n", "7,9,irr,5"),
+    ('{"n": 7, "s": 9, "outcome": "irr", "elapsed_us": 5}\n', '"s": 9'),
+    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": -1}\n', '"elapsed_us": -1'),
 ], ids=["empty", "headerless", "missing-field", "not-an-object", "string-n", "bool-s",
         "float-elapsed", "unknown-outcome", "csv-unknown-outcome", "csv-three-fields",
-        "csv-five-fields", "csv-not-an-int"])
+        "csv-five-fields", "csv-not-an-int", "csv-negative", "csv-no-shape", "no-shape",
+        "negative-elapsed"])
 def test_stats_malformed_input_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "run.csv"
     path.write_text(text)
@@ -389,6 +394,17 @@ def test_search_resume_on_a_mistyped_csv_row_exits_1_and_keeps_the_file(capsys, 
                        "--out", str(out_path), "--resume")
     assert code == 1
     assert err.startswith("error: ") and "9,2,bogus,6" in err and "Traceback" not in err
+    assert out_path.read_bytes() == before
+
+
+def test_search_resume_on_an_out_of_range_csv_row_exits_1_and_keeps_the_file(capsys, tmp_path):
+    out_path = tmp_path / "run.csv"
+    out_path.write_text("n,s,outcome,elapsed_us\n7,2,irr,5\n-5,2,irr,-7\n")
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", "--n-min", "7", "--n-max", "14", "--jobs", "1",
+                       "--out", str(out_path), "--resume")
+    assert code == 1
+    assert err.startswith("error: ") and "-5,2,irr,-7" in err and "Traceback" not in err
     assert out_path.read_bytes() == before
 
 
@@ -428,22 +444,21 @@ def test_verify_json_counts_equal_the_human_lines(capsys):
     assert [(s["name"], s["checked"]) for s in suites] == [
         (m[1], int(m[2])) for m in lines
     ]
-    assert all(s["ok"] and s["failures"] == [] == s["notes"] for s in suites)
+    assert all(s["ok"] and s["failures"] == [] for s in suites)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_verify_failure_exits_2_in_either_format(capsys, monkeypatch, fmt):
     from pentaswan import verify
 
-    bad = verify.CheckResult("planted", checked=3, failures=["(n=7, s=2): wrong"],
-                             notes=["a note"])
+    bad = verify.CheckResult("planted", checked=3, failures=["(n=7, s=2): wrong"])
     monkeypatch.setattr(verify, "run_all", lambda **kwargs: [bad])
     code, out, _ = run(capsys, "verify", "--format", fmt)
     assert code == 2
     if fmt == "json":
         assert json.loads(out) == {"suites": [
             {"name": "planted", "checked": 3, "ok": False,
-             "failures": ["(n=7, s=2): wrong"], "notes": ["a note"]}]}
+             "failures": ["(n=7, s=2): wrong"]}]}
     else:
         assert out == bad.summary() + "\n"
 

@@ -15,7 +15,6 @@ from pentaswan.gf2poly import (
     derivative,
     factor_count,
     gcd,
-    has_factor_of_degree_le,
     is_irreducible,
     is_squarefree,
     mul,
@@ -299,7 +298,7 @@ def test_sqr_matches_naive_square():
             assert gf2poly._sqr(a) == oracles.naive_square(a), (bits, a)
 
 
-def test_fused_chain_matches_oracle_on_every_shape_below_200():
+def test_prefilter_and_survivor_decision_match_oracle_on_every_shape_below_200():
     for parity in ("even", "odd"):
         for shape in enumerate_shapes(7, 200, parity, "all"):
             p = pent_poly(shape).bits
@@ -308,7 +307,7 @@ def test_fused_chain_matches_oracle_on_every_shape_below_200():
             ), shape
 
 
-def test_fused_chain_matches_trial_division_on_p_and_its_reciprocal():
+def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_reciprocal():
     rng = random.Random(22)
     for i in range(60):
         deg = rng.randrange(1, 41)
@@ -455,11 +454,12 @@ def test_rank_kernel_matches_the_dict_kernel_at_production_degrees():
 # --- small-factor prefilter ----------------------------------------------------
 
 def test_has_factor_examples():
-    assert has_factor_of_degree_le(BitPoly(0b10101), 2)
-    assert not has_factor_of_degree_le(pent_poly(PentShape(7, 2)), 3)
+    prefilter = gf2poly._smallest_factor_degree_le
+    assert prefilter(0b10101, 2) == 2  # (X^2 + X + 1)^2
+    assert prefilter(pent_poly(PentShape(7, 2)).bits, 3) is None
     # pent(13,2) factors into degrees {4, 9}
-    assert has_factor_of_degree_le(pent_poly(PentShape(13, 2)), 6)
-    assert not has_factor_of_degree_le(pent_poly(PentShape(13, 2)), 3)
+    assert prefilter(pent_poly(PentShape(13, 2)).bits, 6) == 4
+    assert prefilter(pent_poly(PentShape(13, 2)).bits, 3) is None
 
 
 def test_has_factor_matches_trial_division():
@@ -467,16 +467,10 @@ def test_has_factor_matches_trial_division():
     for _ in range(150):
         p = rand_poly(rng, 20, min_deg=8)
         d_max = rng.randrange(1, 7)
-        assert has_factor_of_degree_le(p, d_max) == oracles.naive_has_factor_le(
-            p.bits, d_max
-        ), (p, d_max)
-
-
-def test_has_factor_preconditions():
-    with pytest.raises(ValueError):
-        has_factor_of_degree_le(BitPoly(0b111), 2)  # deg not > d_max
-    with pytest.raises(ValueError):
-        has_factor_of_degree_le(pent_poly(PentShape(7, 2)), 0)
+        expected = next(
+            (d for d in range(1, d_max + 1) if oracles.naive_has_factor_le(p.bits, d)), None
+        )
+        assert gf2poly._smallest_factor_degree_le(p.bits, d_max) == expected, (p, d_max)
 
 
 # --- text format ---------------------------------------------------------------

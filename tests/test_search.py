@@ -320,7 +320,7 @@ def test_jsonl_round_trip():
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_resume_point_cuts_before_the_last_column_and_a_torn_line(fmt):
-    records = sample_records() + [SearchRecord(11, 4, REDUCIBLE_THM1, 2)]
+    records = sample_records() + [SearchRecord(11, 3, REDUCIBLE_THM1, 2)]
     buf = io.StringIO(newline="")
     (write_csv if fmt == "csv" else write_jsonl)(records, buf)
     data = buf.getvalue().encode()

@@ -9,18 +9,17 @@ SMALL = dict(parity_max=40, thm1_max=40, disc_max=20, trinomial_max=30,
 
 def test_run_all_does_not_depend_on_jobs():
     def results(jobs):
-        return [(r.name, r.checked, r.failures, r.notes)
-                for r in verify.run_all(**SMALL, jobs=jobs)]
+        return [(r.name, r.checked, r.failures) for r in verify.run_all(**SMALL, jobs=jobs)]
 
     serial = results(1)
-    assert [checked > 0 for _, checked, _, _ in serial] == [True] * 5
+    assert [checked > 0 for _, checked, _ in serial] == [True] * 5
     assert results(2) == serial
 
 
 def _uneven_column(n):
     # later columns often finish first in a pool
     time.sleep(0.002 * (n % 4))
-    return n, [f"failure at {n}"], [f"note at {n}"] if n % 3 else []
+    return n, [f"failure at {n}"]
 
 
 def test_sweep_merges_columns_in_n_order():
@@ -29,7 +28,6 @@ def test_sweep_merges_columns_in_n_order():
         result = verify._sweep(verify.CheckResult("uneven"), _uneven_column, ns, jobs)
         assert result.checked == sum(ns)
         assert result.failures == [f"failure at {n}" for n in ns]
-        assert result.notes == [f"note at {n}" for n in ns if n % 3]
 
 
 def test_odd_n_even_s_pentanomials_are_squarefree():
@@ -48,6 +46,6 @@ def test_odd_n_even_s_pentanomials_are_squarefree():
 
 def test_a_non_squarefree_parity_shape_is_a_failure(monkeypatch):
     monkeypatch.setattr(gf2poly, "is_squarefree", lambda p: False)
-    checked, failures, notes = verify._parity_column(13)
+    checked, failures = verify._parity_column(13)
     assert checked == len(verify._even_s_values(13)) == len(failures) == 2
-    assert notes == [] and "not squarefree" in failures[0]
+    assert "not squarefree" in failures[0]
