@@ -17,9 +17,10 @@ counts take no chain and no gcd: each squarefree part is counted by
 Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part;
 the pivots sit in a list indexed by bit length, and the first half of the
 rows, X^(2i) + X^i with distinct tops, is written in without elimination.
-``_smallest_factor_degree`` runs the prefilter at PREFILTER_DEPTH = 13;
-a polynomial that survives it is irreducible iff gcd(p, p') = 1 and that
-rank counts one factor.
+The prefilter runs at PREFILTER_DEPTH = 13; ``_survivor_is_irreducible``
+decides a polynomial that survives it: irreducible iff gcd(p, p') = 1 and
+that rank counts one factor.  ``is_irreducible`` runs the two in turn;
+the survey puts swan's decimation certificate between them.
 """
 
 from __future__ import annotations
@@ -257,17 +258,11 @@ def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
     return None
 
 
-def _smallest_factor_degree(p: int) -> int | None:
-    """Smallest degree d of an irreducible factor of p when d <= 13 (the
-    prefilter at PREFILTER_DEPTH); else deg(p) if p is irreducible; else
-    None.  A survivor of the prefilter is irreducible iff it is squarefree,
-    gcd(p, p') = 1, and Berlekamp's rank counts one factor; the rank alone
-    would count one on the cube of an irreducible.
-    """
-    d = _smallest_factor_degree_le(p, PREFILTER_DEPTH)
-    if d is None and _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1:
-        return _degree(p)
-    return d
+def _survivor_is_irreducible(p: int) -> bool:
+    """The survivor decision: p, with no factor of degree <= PREFILTER_DEPTH,
+    is irreducible iff gcd(p, p') = 1 and Berlekamp's rank counts one
+    factor; the rank alone would count one on the cube of an irreducible."""
+    return _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +467,11 @@ def is_irreducible(p: BitPoly) -> bool:
     n = _degree(p.bits)
     if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
-    # not for correctness (gcd(p, 0) = p): a perfect square skips the prefilter
-    return _deriv(p.bits) != 0 and _smallest_factor_degree(p.bits) == n
+    if _deriv(p.bits) == 0:
+        # not for correctness (gcd(p, 0) = p): a perfect square skips the prefilter
+        return False
+    d = _smallest_factor_degree_le(p.bits, PREFILTER_DEPTH)
+    return d == n if d is not None else _survivor_is_irreducible(p.bits)
 
 
 def factor_count(p: BitPoly) -> FactorCount:

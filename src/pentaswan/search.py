@@ -1,13 +1,15 @@
 """Exhaustive survey of equally gapped pentanomials over (n, s) ranges.
 
 The pipeline is: enumerate shapes in deterministic (n, s) order, classify
-each one (closed-form certificate, square short-circuit, a short squaring
-chain for the small-factor prefilter, then, for a survivor, the squarefree
-gcd plus Berlekamp's rank as the full irreducibility test), and aggregate
-statistics.  Classification of distinct shapes is
-embarrassingly parallel: shapes go to a process pool in fixed-size chunks,
-and the output order comes from the ordered map, so it never depends on
-the worker count.
+each one, and aggregate statistics.  Classification runs the closed-form
+prune (Theorem 1), the square short-circuit, a short squaring chain for
+the small-factor prefilter, then, for a prefilter survivor with even s,
+the decimation certificate (``swan.decimation_reducible``), and last the
+squarefree gcd plus Berlekamp's rank.  A survivor that the certificate or
+the rank calls reducible is a ``red_full`` row.  Classification of
+distinct shapes is embarrassingly parallel: shapes go to a process pool in
+fixed-size chunks, and the output order comes from the ordered map, so it
+never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -121,19 +123,24 @@ def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | Non
     if n % 2 == 0 and s % 2 == 0:
         # every exponent even: the polynomial is a perfect square
         return REDUCIBLE_SQUARE, None
-    p = gf2poly.pent_poly(shape)
-    d = gf2poly._smallest_factor_degree(p.bits)
-    if d == n:
-        if s % 2 == 0 and swan.thm1_reducible(shape):
-            # the even-s closed form forbids this residue; finding one
-            # irreducible here would mean the theory or the test is broken
-            raise ConsistencyError(
-                f"irreducible (n={n}, s={s}) with n = {n % 8} (mod 8)"
-            )
-        return IRREDUCIBLE, None
-    if d is not None:
+    p = gf2poly.pent_poly(shape).bits
+    d = gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH)
+    if d is None:
+        # the decimation certificate, then the rank; n is odd when s is
+        # even here, as the even-n shapes returned as squares
+        if (s % 2 == 0 and swan.decimation_reducible(shape)
+                or not gf2poly._survivor_is_irreducible(p)):
+            return REDUCIBLE_FULL_TEST, None
+    elif d < n:
         return REDUCIBLE_SMALL_FACTOR, d
-    return REDUCIBLE_FULL_TEST, None
+    # irreducible: the prefilter found p itself (d = n <= 13), or the rank did
+    if s % 2 == 0 and swan.thm1_reducible(shape):
+        # the even-s closed form forbids this residue; finding one
+        # irreducible here would mean the theory or the test is broken
+        raise ConsistencyError(
+            f"irreducible (n={n}, s={s}) with n = {n % 8} (mod 8)"
+        )
+    return IRREDUCIBLE, None
 
 
 def _classify_timed(ns: tuple[int, int], prune: bool):

@@ -19,6 +19,7 @@ irreducibles.  ``ParityVerdict`` carries that asymmetry explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import gf2poly
@@ -28,6 +29,7 @@ __all__ = [
     "OutOfTheoryError",
     "ParityVerdict",
     "brute_force_parity",
+    "decimation_reducible",
     "parity_from_discriminant",
     "pent_discriminant_closed_form",
     "pent_parity",
@@ -149,6 +151,42 @@ def thm1_reducible(shape: PentShape) -> bool:
     if shape.n % 2 == 0:
         return True
     return shape.n % 8 in (3, 5)
+
+
+def _prime_divisors(g: int) -> list[int]:
+    out = []
+    r = 2
+    while r * r <= g:
+        if g % r == 0:
+            out.append(r)
+            while g % r == 0:
+                g //= r
+        r += 1
+    return out + [g] if g > 1 else out
+
+
+def decimation_reducible(shape: PentShape) -> bool:
+    """Certified-reducible test for odd n and even s, by decimation.
+
+    With g = gcd(n, s) the pentanomial is q(X^g), where q is the
+    (n/g, s/g) pentanomial; g is odd, so s/g is even and q is in the
+    family too.  For g > 1 the pentanomial is reducible when q is
+    (``thm1_reducible`` on q, or q reducible), or when some prime r
+    dividing g does not divide 2^m - 1, m = n/g (cf. Lidl-Niederreiter,
+    Finite Fields, Thm 3.35).  For the latter: were p irreducible, with a
+    root a, then X^g - b, b = a^g a root of q, would be irreducible over
+    GF(2^m).  Yet c -> c^r permutes GF(2^m)* when r does not divide
+    2^m - 1, so b = c^r for some c, and X^(g/r) - c divides X^g - b.
+    False means no certificate, not irreducible.
+    """
+    _require_closed_form_shape(shape)
+    g = math.gcd(shape.n, shape.s)
+    if g == 1:
+        return False
+    q = PentShape(shape.n // g, shape.s // g)
+    if thm1_reducible(q) or not gf2poly.is_irreducible(BitPoly.from_exponents(q.exponents)):
+        return True
+    return any(pow(2, q.n, r) != 1 for r in _prime_divisors(g))
 
 
 def brute_force_parity(p: BitPoly) -> ParityVerdict:

@@ -183,7 +183,7 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
     else, with ``rabin``, deg(p) if p is irreducible; else None.
 
     This is the fused chain that the prefilter plus gcd(p, p') and
-    Berlekamp's rank replaced in ``gf2poly._smallest_factor_degree``, kept
+    Berlekamp's rank replaced in ``gf2poly.is_irreducible``, kept
     as it was with its prime factorization and its early exits inlined.
     One squaring chain h_k = X^(2^k) mod p answers both.  For k <= depth,
     gcd(h_k - X, p) != 1 first at k = d: the small-factor prefilter, taken

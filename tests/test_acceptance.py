@@ -153,6 +153,7 @@ def test_c9_full_survey_below_3000(tmp_path):
     found = {(r.n, r.s) for r in records if r.outcome == "irr"}
     assert found == load_reference_pairs(3000)
     agg = stats(records)
+    assert agg.errors == 0
     assert agg.total_irreducible == 804
     assert agg.n_mod8[1] == 401 and agg.n_mod8[7] == 403
     assert {k: v for k, v in agg.s_mod8.items() if k % 2 == 0} == {

@@ -298,11 +298,20 @@ def test_sqr_matches_naive_square():
             assert gf2poly._sqr(a) == oracles.naive_square(a), (bits, a)
 
 
+def prefilter_then_survivor(p: int) -> int | None:
+    """The prefilter's degree; for a survivor, deg(p) if the survivor
+    decision calls p irreducible, else None."""
+    d = gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH)
+    if d is None and gf2poly._survivor_is_irreducible(p):
+        return p.bit_length() - 1
+    return d
+
+
 def test_prefilter_and_survivor_decision_match_oracle_on_every_shape_below_200():
     for parity in ("even", "odd"):
         for shape in enumerate_shapes(7, 200, parity, "all"):
             p = pent_poly(shape).bits
-            assert gf2poly._smallest_factor_degree(p) == (
+            assert prefilter_then_survivor(p) == (
                 oracles.naive_smallest_factor_degree(p, 13)
             ), shape
 
@@ -325,7 +334,7 @@ def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_recip
             expected = deg if len(degrees) == 1 else None
         for q in (p, reciprocal(p)):
             assert gf2poly._smallest_factor_degree_le(q.bits, depth) == shallow, (q, depth)
-            assert gf2poly._smallest_factor_degree(q.bits) == expected, q
+            assert prefilter_then_survivor(q.bits) == expected, q
 
 
 # --- folded gcds and the survivor decision, against the slow paths they replace
@@ -377,12 +386,17 @@ def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
     # factors) can decide
     for n, s, g, p in table2_products():
         expected = 1 if g == 2 else None
-        assert gf2poly._smallest_factor_degree(p) == expected, (n, s, g)
+        assert prefilter_then_survivor(p) == expected, (n, s, g)
         assert not is_irreducible(BitPoly(p)), (n, s, g)
         if g != 2:
             assert gf2poly._count_factors_squarefree(p) == 2, (n, s, g)
+            decided = []
+            survivor = gf2poly._survivor_is_irreducible
+            monkeypatch.setattr(gf2poly, "_survivor_is_irreducible",
+                                lambda q: decided.append(q) or survivor(q))
             monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
             assert search.classify_shape(PentShape(n, s)) == ("red_full", None), (n, s, g)
+            assert decided == [p], (n, s, g)  # p itself reached the rank
             monkeypatch.undo()
 
 
@@ -397,14 +411,14 @@ def test_non_squarefree_survivors_are_reducible():
     assert gf2poly._count_factors_squarefree(cube) == 1
     for q in (cube, power(small, 3), gf2poly._mul(power(big, 2), small),
               gf2poly._mul(power(small, 2), big)):
-        assert gf2poly._smallest_factor_degree(q) is None, q.bit_length() - 1
+        assert prefilter_then_survivor(q) is None, q.bit_length() - 1
         assert not is_irreducible(BitPoly(q)), q.bit_length() - 1
 
 
 def test_table2_irreducibles_above_720_stay_irreducible():
     for n, s in random.Random(25).sample(table2_shapes(721), 8):
         p = pent_poly(PentShape(n, s))
-        assert gf2poly._smallest_factor_degree(p.bits) == n, (n, s)
+        assert prefilter_then_survivor(p.bits) == n, (n, s)
         assert is_irreducible(p), (n, s)
         assert search.classify_shape(PentShape(n, s)) == ("irr", None), (n, s)
 
@@ -434,7 +448,7 @@ def test_survivor_decision_matches_rabin_chain_at_production_degrees():
     verdicts = []
     for n, s in shapes:
         p = pent_poly(PentShape(n, s)).bits
-        verdict = gf2poly._smallest_factor_degree(p)
+        verdict = prefilter_then_survivor(p)
         assert verdict == oracles.rabin_smallest_factor_degree(p, 13), (n, s)
         verdicts.append(verdict)
     assert verdicts[:24] == [n for n, _ in shapes[:24]]

@@ -175,6 +175,25 @@ def test_survey_no_certified_irreducible_conflict():
             assert r.n % 8 in (1, 7), r
 
 
+def test_an_irreducible_the_prefilter_finds_stays_irreducible():
+    # for n <= 13 the prefilter finds an irreducible p itself, at d = n
+    p = gf2poly.pent_poly(PentShape(7, 2)).bits
+    assert gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH) == 7
+    for prune in (True, False):
+        assert classify_shape(PentShape(7, 2), prune) == (IRREDUCIBLE, None)
+
+
+def test_odd_s_survey_never_decimates():
+    # gcd(n, s) > 1 with odd s can leave no valid smaller shape, e.g.
+    # (20, 5) -> (4, 1) and (54, 9) -> (6, 1), so the certificate is for
+    # even s only: these rows come from the rank, and none is an error
+    records = list(survey(enumerate_shapes(7, 160, "odd", "all"), prune=False, jobs=1))
+    outcomes = {(r.n, r.s): r.outcome for r in records}
+    assert outcomes[20, 5] == outcomes[100, 25] == IRREDUCIBLE
+    assert outcomes[54, 9] == REDUCIBLE_FULL_TEST
+    assert ERROR not in set(outcomes.values())
+
+
 def test_classify_raises_on_impossible_irreducible(monkeypatch):
     # force the prefilter and the survivor decision to call every polynomial
     # irreducible: the residue guard must trip hard, and the survey must
@@ -182,8 +201,9 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
     import pentaswan.search as search_mod
     from pentaswan.zpoly import ConsistencyError
 
-    monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree",
-                        lambda p: p.bit_length() - 1)
+    monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree_le",
+                        lambda p, d_max: None)
+    monkeypatch.setattr(search_mod.gf2poly, "_survivor_is_irreducible", lambda p: True)
     with pytest.raises(ConsistencyError):
         classify_shape(PentShape(11, 2), prune=False)
     records = list(survey([PentShape(11, 2)], prune=False, jobs=1))
@@ -193,7 +213,9 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
 @pytest.mark.parametrize("prune", [True, False])
 def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
     # (2401, 388) is a table2 irreducible; (14, 4) is a square; the even-s
-    # shapes with n = 3, 5 (mod 8) or n even are pruned when prune is on
+    # shapes with n = 3, 5 (mod 8) or n even are pruned when prune is on;
+    # gcd(n, s) = 1 for every even-s survivor here, so the decimation
+    # certificate, which runs the prefilter on a smaller shape, stays out
     shapes = [PentShape(n, s) for n, s in
               ((2401, 388), (7, 2), (9, 2), (11, 2), (13, 2), (13, 3), (14, 4), (35, 2))]
     prefilter = gf2poly._smallest_factor_degree_le

@@ -1,7 +1,11 @@
+import csv
+import math
 import random
+from pathlib import Path
 
 import pytest
 
+from pentaswan import gf2poly
 from pentaswan.gf2poly import (
     BitPoly,
     PentShape,
@@ -15,6 +19,7 @@ from pentaswan.swan import (
     OutOfTheoryError,
     ParityVerdict,
     brute_force_parity,
+    decimation_reducible,
     parity_from_discriminant,
     pent_discriminant_closed_form,
     pent_parity,
@@ -134,6 +139,8 @@ def test_closed_forms_out_of_theory(n, s):
         pent_discriminant_closed_form(shape)
     with pytest.raises(OutOfTheoryError):
         pent_parity(shape)
+    with pytest.raises(OutOfTheoryError):
+        decimation_reducible(shape)
     if s % 2:
         with pytest.raises(OutOfTheoryError):
             thm1_reducible(shape)
@@ -206,3 +213,71 @@ def test_thm1_soundness_small():
 def test_brute_force_source_tag():
     v = brute_force_parity(pent_poly(PentShape(9, 2)))
     assert v.source == "brute_force" and v.parity == "odd"
+
+
+# --- decimation certificate -----------------------------------------------------
+
+def test_pentanomial_is_the_smaller_shape_decimated():
+    # p_{n,s}(X) = p_{n/g, s/g}(X^g), g = gcd(n, s), for either parity of s
+    # and n; the smaller shape need not be valid, e.g. (20, 5) -> (4, 1)
+    rng = random.Random(32)
+    shapes = [sh for parity in ("even", "odd") for sh in enumerate_shapes(7, 400, parity, "all")
+              if math.gcd(sh.n, sh.s) > 1]
+    for shape in rng.sample(shapes, 200) + [PentShape(20, 5), PentShape(775, 186)]:
+        g = math.gcd(shape.n, shape.s)
+        m, t = shape.n // g, shape.s // g
+        q = sum(1 << e for e in (m, m - t, m - 2 * t, m - 3 * t, 0))
+        decimated = sum(1 << g * e for e in gf2poly._exponents(q))
+        assert pent_poly(shape).bits == decimated, shape
+
+
+def test_decimation_certificate_agrees_with_the_rank_on_every_survivor():
+    # every prefilter survivor with odd n < 1000 or n in {2991, 2993}, even s
+    # and gcd(n, s) > 1 (1,498 shapes, n = +-3 (mod 8) included, since a
+    # --no-prune survey reaches the certificate there): wherever the
+    # certificate fires, gcd(p, p') plus the rank must say reducible too;
+    # it must fire by each of its three routes, and it leaves only the
+    # table2 irreducibles (775, 186) and (889, 254) to the rank
+    routes = {"thm1": 0, "q reducible": 0, "order": 0}
+    left = []
+    for n in [*range(7, 1000, 2), 2991, 2993]:
+        for s in even_s_range(n):
+            shape = PentShape(n, s)
+            g = math.gcd(n, s)
+            if g == 1:
+                assert not decimation_reducible(shape), shape
+                continue
+            p = pent_poly(shape).bits
+            if gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH) is not None:
+                continue
+            if not decimation_reducible(shape):
+                left.append((n, s))
+                continue
+            assert not gf2poly._survivor_is_irreducible(p), shape
+            q = PentShape(n // g, s // g)
+            if thm1_reducible(q):
+                routes["thm1"] += 1
+            elif not is_irreducible(pent_poly(q)):
+                routes["q reducible"] += 1
+            else:
+                routes["order"] += 1
+    assert left == [(775, 186), (889, 254)]
+    assert all(is_irreducible(pent_poly(PentShape(n, s))) for n, s in left)
+    assert min(routes.values()) > 0, routes
+    assert sum(routes.values()) == 1496
+
+
+def table2_shapes():
+    with open(Path(__file__).parent / "data" / "table2.csv") as f:
+        return [PentShape(int(r["n"]), int(r["s"])) for r in csv.DictReader(f)]
+
+
+def test_decimation_certificate_never_fires_on_an_irreducible():
+    shapes = table2_shapes()
+    decimated = [sh for sh in shapes if math.gcd(sh.n, sh.s) > 1]
+    assert [(sh.n, sh.s) for sh in decimated] == [
+        (775, 186), (889, 254), (1081, 282), (1265, 184), (1705, 248),
+        (1705, 496), (2015, 186), (2783, 138), (2945, 806), (2945, 868),
+    ]
+    for shape in shapes:
+        assert not decimation_reducible(shape), shape
