@@ -9,8 +9,8 @@ just mod 8, whenever F(0) = 1.
 
 from pentaswan import (
     PentShape,
+    discriminant,
     discriminant_mod8,
-    discriminant_mod8_via_derivative,
     h_poly,
     lift,
     pent_discriminant_closed_form,
@@ -23,7 +23,7 @@ for n, s in [(7, 2), (11, 2), (13, 2), (17, 2), (25, 6), (31, 6), (49, 4)]:
     F = lift(pent_poly(PentShape(n, s)))
     a = pent_discriminant_closed_form(PentShape(n, s))
     b = discriminant_mod8(F)
-    c = discriminant_mod8_via_derivative(F)
+    c = discriminant(F) % 8
     assert a == b == c
     print(f"{n:>4} {s:>3} {a:>7} {b:>9} {c:>10}")
 

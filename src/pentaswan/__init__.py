@@ -42,7 +42,6 @@ from .zpoly import (
     PowerSumTable,
     discriminant,
     discriminant_mod8,
-    discriminant_mod8_via_derivative,
     h_poly,
     lift,
     neg_power_sums,

@@ -159,8 +159,6 @@ def _cmd_powersums(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.format not in ("csv", "jsonl"):
-        raise _UsageError("search --format must be csv or jsonl")
     shapes = search.enumerate_shapes(args.n_min, args.n_max, args.s_parity, args.n_parity)
     restart, offset, kept = None, 0, []
     if args.resume:
@@ -196,10 +194,8 @@ def _cmd_search(args) -> int:
     if errors:
         # the rows stay in the output; the exit status must still report them
         first = errors[0]
-        print(f"invariant violation: {len(errors)} error rows, first at "
-              f"n={first.n}, s={first.s}: {first.message or 'no message recorded'}",
-              file=sys.stderr)
-        return INVARIANT_VIOLATION
+        raise ConsistencyError(f"{len(errors)} error rows, first at n={first.n}, "
+                               f"s={first.s}: {first.message or 'no message recorded'}")
     return 0
 
 

@@ -309,34 +309,12 @@ class BitPoly:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def coeff(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def exponents(self) -> list[int]:
         """Exponents with coefficient 1, in decreasing order."""
         return _exponents(self.bits)
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __xor__(self, other: "BitPoly") -> "BitPoly":
-        return BitPoly(self.bits ^ other.bits)
-
-    __add__ = __xor__
-    __sub__ = __xor__
-
-    def __mul__(self, other: "BitPoly") -> "BitPoly":
-        return BitPoly(_mul(self.bits, other.bits))
-
-    def __mod__(self, other: "BitPoly") -> "BitPoly":
-        return BitPoly(_rem(self.bits, other.bits))
-
-    def __divmod__(self, other: "BitPoly") -> tuple["BitPoly", "BitPoly"]:
-        q, r = _divmod(self.bits, other.bits)
-        return BitPoly(q), BitPoly(r)
-
-    def __floordiv__(self, other: "BitPoly") -> "BitPoly":
-        return BitPoly(_divmod(self.bits, other.bits)[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitPoly) and self.bits == other.bits

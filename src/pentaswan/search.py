@@ -299,11 +299,7 @@ def read_csv(src: TextIO) -> list[SearchRecord]:
 def write_jsonl(records: Iterable[SearchRecord], out: TextIO) -> int:
     count = 0
     for rec in records:
-        out.write(
-            json.dumps(
-                {"n": rec.n, "s": rec.s, "outcome": rec.outcome, "elapsed_us": rec.elapsed_us}
-            )
-        )
+        out.write(json.dumps({k: getattr(rec, k) for k in CSV_HEADER}))
         out.write("\n")
         count += 1
     return count

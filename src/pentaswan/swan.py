@@ -67,10 +67,6 @@ class ParityVerdict:
     def implies_reducible(self) -> bool:
         return self.parity == "even"
 
-    @property
-    def inconclusive_for_irreducibility(self) -> bool:
-        return self.parity == "odd"
-
 
 def parity_from_discriminant(deg_f: int, d_mod8: int) -> ParityVerdict:
     """Factor-count parity of a squarefree binary polynomial of degree

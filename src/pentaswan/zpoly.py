@@ -15,7 +15,7 @@ power sum regardless of the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -27,7 +27,6 @@ __all__ = [
     "PowerSumTable",
     "discriminant",
     "discriminant_mod8",
-    "discriminant_mod8_via_derivative",
     "h_poly",
     "lift",
     "neg_power_sums",
@@ -75,19 +74,8 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, e: int) -> int:
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-            if ee < e:
-                break
-        return 0
-
     def constant_term(self) -> int:
         return self.terms[-1][1] if self.terms and self.terms[-1][0] == 0 else 0
-
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**e for e, c in self.terms)
 
     def derivative(self) -> "IntPoly":
         return IntPoly((e - 1, e * c) for e, c in self.terms if e)
@@ -125,9 +113,6 @@ class IntPoly:
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         return IntPoly(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(list(self.terms) + [(e, -c) for e, c in other.terms])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.terms == other.terms
@@ -177,7 +162,6 @@ class PowerSumTable:
 
     values: dict[int, int]
     modulus: int | None = None
-    degree: int = field(default=0)
 
     def __getitem__(self, m: int) -> int:
         return self.values[m]
@@ -219,7 +203,7 @@ def power_sums(F: IntPoly, upto: int, modulus: int | None = None) -> PowerSumTab
             else:
                 break
         S[m] = -acc if modulus is None else (-acc) % modulus
-    return PowerSumTable(S, modulus, n)
+    return PowerSumTable(S, modulus)
 
 
 def second_power_sums(table: PowerSumTable, k: int) -> int:
@@ -438,8 +422,3 @@ def discriminant_mod8(F: IntPoly) -> int:
         raise ValueError("requires a monic polynomial of degree >= 2")
     n = F.terms[0][0]
     return _disc_sign(n) * resultant(F, h_poly(F)) % 8
-
-
-def discriminant_mod8_via_derivative(F: IntPoly) -> int:
-    """Cross-check path: the classical Res(F, F') discriminant, mod 8."""
-    return discriminant(F) % 8

@@ -7,7 +7,17 @@ so they share no code path with the algorithms under test.
 
 from __future__ import annotations
 
+import csv
 from math import gcd
+from pathlib import Path
+
+
+def table2_pairs(n_lo: int = 0, n_hi: int = 3000) -> list[tuple[int, int]]:
+    """The known irreducible (n, s) of the even-gap family below n = 3000
+    (``data/table2.csv``) with n_lo <= n < n_hi, ascending."""
+    with open(Path(__file__).parent / "data" / "table2.csv") as f:
+        pairs = [(int(r["n"]), int(r["s"])) for r in csv.DictReader(f)]
+    return [(n, s) for n, s in pairs if n_lo <= n < n_hi]
 
 
 def poly_divmod_bits(a: int, m: int) -> tuple[int, int]:

@@ -5,10 +5,8 @@ a failed assertion is the FAIL line.  The multi-hour exhaustive run over
 n < 3000 is criterion 9 and only runs with `pytest --full-survey`.
 """
 
-import csv
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,15 +14,9 @@ from pentaswan import cli, verify
 from pentaswan.search import enumerate_shapes, read_csv, stats, survey
 from pentaswan.zpoly import IntPoly, h_poly, neg_power_sums, power_sums, resultant
 
+import oracles
+
 JOBS = 2  # matches the cores the suite is expected to have
-
-
-def load_reference_pairs(n_below=3000):
-    """Known irreducible (n, s) pairs for the even-gap family, n < 3000."""
-    path = Path(__file__).parent / "data" / "table2.csv"
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    return {(int(r["n"]), int(r["s"])) for r in rows if int(r["n"]) < n_below}
 
 
 def report(criterion, detail, t0):
@@ -68,7 +60,7 @@ def test_c3_reference_table_below_300(tmp_path):
     with open(out) as f:
         records = read_csv(f)
     found = {(r.n, r.s) for r in records if r.outcome == "irr"}
-    expected = load_reference_pairs(300)
+    expected = set(oracles.table2_pairs(n_hi=300))
     assert found == expected
     assert len(records) == census(7, 300)
     report("C3", f"search reproduced all {len(expected)} known pairs below 300", t0)
@@ -85,7 +77,7 @@ def test_hard_slice_at_production_degrees(tmp_path):
     with open(out) as f:
         records = read_csv(f)
     found = {(r.n, r.s) for r in records if r.outcome == "irr"}
-    expected = load_reference_pairs(3000) - load_reference_pairs(2991)
+    expected = set(oracles.table2_pairs(2991))
     assert found == expected and len(expected) == 5
     assert len(records) == census(2991, 3000)
     report("hard slice", f"search reproduced the {len(expected)} known pairs in [2991, 3000)", t0)
@@ -151,7 +143,7 @@ def test_c9_full_survey_below_3000(tmp_path):
     records = list(survey(enumerate_shapes(7, 3000), jobs=None))
     assert len(records) == 374_250
     found = {(r.n, r.s) for r in records if r.outcome == "irr"}
-    assert found == load_reference_pairs(3000)
+    assert found == set(oracles.table2_pairs())
     agg = stats(records)
     assert agg.errors == 0
     assert agg.total_irreducible == 804

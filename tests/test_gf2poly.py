@@ -1,6 +1,4 @@
-import csv
 import random
-from pathlib import Path
 
 import pytest
 
@@ -259,7 +257,7 @@ def test_known_irreducibles_are_irreducible():
         assert is_irreducible(BitPoly(p)), d
         if d <= 23:
             assert oracles.naive_factors(p) == [p], d
-    assert (2401, 388) in table2_shapes(2401)
+    assert (2401, 388) in oracles.table2_pairs(2401)
 
 
 def test_factor_count_with_multiplicity():
@@ -339,11 +337,6 @@ def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_recip
 
 # --- folded gcds and the survivor decision, against the slow paths they replace
 
-def table2_shapes(n_min):
-    with open(Path(__file__).parent / "data" / "table2.csv") as f:
-        return [(int(r["n"]), int(r["s"])) for r in csv.DictReader(f) if int(r["n"]) >= n_min]
-
-
 def test_fold_matches_rem():
     rng = random.Random(23)
     byte_edges = {8 * j + e for j in (2, 4, 16, 64, 128, 255) for e in (-1, 0, 1)}
@@ -371,7 +364,7 @@ def table2_products():
     """(n, s, g, g * P) with P = pent(n, s) a table2 irreducible of degree
     >= 721, and g either X or a seeded irreducible of a FACTOR_DEGREES degree."""
     rng = random.Random(24)
-    table = sorted(table2_shapes(721))
+    table = oracles.table2_pairs(721)
     cases = [2] + [random_irreducible(rng, d) for d in FACTOR_DEGREES]
     out = []
     for i, g in enumerate(cases):
@@ -405,7 +398,7 @@ def test_non_squarefree_survivors_are_reducible():
     # finds nothing, and Berlekamp's rank alone counts one factor on P^3,
     # so only gcd(p, p') != 1 can call these reducible
     rng = random.Random(27)
-    big = pent_poly(PentShape(*sorted(table2_shapes(721))[0])).bits
+    big = pent_poly(PentShape(*oracles.table2_pairs(721)[0])).bits
     small = random_irreducible(rng, 23)
     cube = power(big, 3)
     assert gf2poly._count_factors_squarefree(cube) == 1
@@ -416,7 +409,7 @@ def test_non_squarefree_survivors_are_reducible():
 
 
 def test_table2_irreducibles_above_720_stay_irreducible():
-    for n, s in random.Random(25).sample(table2_shapes(721), 8):
+    for n, s in random.Random(25).sample(oracles.table2_pairs(721), 8):
         p = pent_poly(PentShape(n, s))
         assert prefilter_then_survivor(p.bits) == n, (n, s)
         assert is_irreducible(p), (n, s)
@@ -440,7 +433,7 @@ def production_survivors(rng, count):
 def production_shapes():
     """24 seeded table2 irreducibles with n >= 2401, then 48 production survivors."""
     rng = random.Random(28)
-    return rng.sample(table2_shapes(2401), 24) + production_survivors(rng, 48)
+    return rng.sample(oracles.table2_pairs(2401), 24) + production_survivors(rng, 48)
 
 
 def test_survivor_decision_matches_rabin_chain_at_production_degrees():

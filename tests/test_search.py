@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import pentaswan
-from pentaswan import gf2poly, swan, zpoly
+from pentaswan import cli, gf2poly, search, swan, verify, zpoly
 from pentaswan.gf2poly import PentShape
 from pentaswan.search import (
     CSV_HEADER,
@@ -246,6 +246,31 @@ def test_benchmark_tracer_boundaries_exist():
     assert {module for module, _ in targets} == {gf2poly, zpoly, swan}
     for module, attr in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_public_names_and_the_names_the_benchmark_reads_exist():
+    # nothing star-imports these modules, so a deletion that leaves an
+    # __all__ entry behind goes unnoticed; a name the benchmark reads, once
+    # gone, fails a benchmark run rather than a test
+    for module in (gf2poly, zpoly, swan, search, verify):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    reads = {
+        gf2poly: ("BitPoly", "PentShape", "pent_poly", "mul", "gcd", "pow_frobenius",
+                  "is_squarefree", "is_irreducible", "factor_count",
+                  "_smallest_factor_degree_le"),
+        zpoly: ("lift", "discriminant_mod8", "resultant", "power_sums"),
+        swan: ("parity_from_discriminant", "brute_force_parity"),
+        search: ("survey", "SearchRecord"),
+        verify: ("run_all", "pent_parity_agreement", "thm1_soundness",
+                 "discriminant_agreement", "trinomial_agreement", "power_sum_identities"),
+        cli: ("main",),
+    }
+    for module, names in reads.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    rec = search.SearchRecord(7, 2, IRREDUCIBLE, 5)
+    assert (rec.n, rec.s, rec.outcome, rec.elapsed_us, rec.factor_bound) == (7, 2, "irr", 5, None)
 
 
 def test_prefilter_rejections_audited_by_full_test():

@@ -1,7 +1,5 @@
-import csv
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +26,8 @@ from pentaswan.swan import (
 )
 from pentaswan.zpoly import discriminant_mod8, lift
 
+import oracles
+
 
 def even_s_range(n):
     return range(2, (n - 1) // 3 + 1, 2)
@@ -38,8 +38,8 @@ def even_s_range(n):
 def test_verdict_reducibility_asymmetry():
     even = ParityVerdict("even", "closed_form")
     odd = ParityVerdict("odd", "brute_force")
-    assert even.implies_reducible and not even.inconclusive_for_irreducibility
-    assert not odd.implies_reducible and odd.inconclusive_for_irreducibility
+    assert even.implies_reducible
+    assert not odd.implies_reducible
 
 
 def test_verdict_validation():
@@ -128,7 +128,7 @@ def test_pent_parity_examples():
 def test_odd_parity_does_not_certify_irreducibility():
     shape = PentShape(9, 2)
     verdict = pent_parity(shape)
-    assert verdict.parity == "odd" and verdict.inconclusive_for_irreducibility
+    assert verdict.parity == "odd" and not verdict.implies_reducible
     assert not is_irreducible(pent_poly(shape))
 
 
@@ -267,13 +267,8 @@ def test_decimation_certificate_agrees_with_the_rank_on_every_survivor():
     assert sum(routes.values()) == 1496
 
 
-def table2_shapes():
-    with open(Path(__file__).parent / "data" / "table2.csv") as f:
-        return [PentShape(int(r["n"]), int(r["s"])) for r in csv.DictReader(f)]
-
-
 def test_decimation_certificate_never_fires_on_an_irreducible():
-    shapes = table2_shapes()
+    shapes = [PentShape(n, s) for n, s in oracles.table2_pairs()]
     decimated = [sh for sh in shapes if math.gcd(sh.n, sh.s) > 1]
     assert [(sh.n, sh.s) for sh in decimated] == [
         (775, 186), (889, 254), (1081, 282), (1265, 184), (1705, 248),
