@@ -24,7 +24,6 @@ from .gf2poly import (
     pow_frobenius,
     reciprocal,
     rem,
-    squarefree_parts,
 )
 from .swan import (
     OutOfTheoryError,

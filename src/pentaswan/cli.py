@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__, gf2poly, search, swan, verify, zpoly
-from .gf2poly import BitPoly, PentShape, ShapeError
+from .gf2poly import BitPoly, PentShape
 from .swan import OutOfTheoryError
 from .zpoly import ConsistencyError
 
@@ -171,7 +171,12 @@ def _cmd_search(args) -> int:
             pass
     if restart is not None:
         # the last n-column may be partial: redo it, and append after the
-        # rows below it, which stay on disk untouched
+        # rows below it, which stay on disk untouched; a range that would
+        # not redo it is refused before the file is cut
+        if not (args.n_min <= restart < args.n_max and any(search.enumerate_shapes(
+                restart, restart + 1, args.s_parity, args.n_parity))):
+            raise _UsageError(f"--resume would drop the column n={restart} of {args.out}, "
+                              "which this run's range does not redo")
         shapes = (sh for sh in shapes if sh.n >= restart)
         os.truncate(args.out, offset)
     records = search.survey(shapes, prune=not args.no_prune, jobs=args.jobs)
@@ -294,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ShapeError, OutOfTheoryError, ValueError, OSError) as e:
+    except (_UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except ConsistencyError as e:

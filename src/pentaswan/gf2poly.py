@@ -13,10 +13,12 @@ integers and carry the performance-sensitive inner loops.  A squaring is
 two ``bytes.translate`` table maps.  ``_smallest_factor_degree_le`` is
 the small-factor prefilter: one short squaring chain per polynomial, each
 step a square and a plain remainder modulo p, with folded gcds.  Factor
-counts take no chain and no gcd: each squarefree part is counted by
-Berlekamp's rank of Q - I, with Q the matrix of squaring modulo the part;
-the pivots sit in a list indexed by bit length, and the first half of the
-rows, X^(2i) + X^i with distinct tops, is written in without elimination.
+counts take no chain: one loop divides f by c = gcd(f, f'), counts the
+squarefree quotient by Berlekamp's rank of Q - I, with Q the matrix of
+squaring modulo it, and goes on with the square root of c at twice the
+weight.  The rank's pivots sit in a list indexed by bit length, and the
+first half of the rows, X^(2i) + X^i with distinct tops, is written in
+without elimination.
 The prefilter runs at PREFILTER_DEPTH = 13; ``_survivor_is_irreducible``
 decides a polynomial that survives it: irreducible iff gcd(p, p') = 1 and
 that rank counts one factor.  ``is_irreducible`` runs the two in turn;
@@ -43,7 +45,6 @@ __all__ = [
     "pow_frobenius",
     "reciprocal",
     "rem",
-    "squarefree_parts",
 ]
 
 
@@ -136,8 +137,6 @@ def _sqr(a: int) -> int:
 
 def _sqrt(a: int) -> int:
     # inverse of _sqr for perfect squares: keep the even bit positions
-    if a == 0:
-        return 0
     return int(format(a, "b")[::-2][::-1], 2)
 
 
@@ -148,36 +147,6 @@ def _exponents(a: int) -> list[int]:
         out.append(d)
         a ^= 1 << d
     return out
-
-
-def _squarefree_parts(f: int) -> list[tuple[int, int]]:
-    """Squarefree decomposition f = prod g_i^e_i with the g_i squarefree
-    and pairwise coprime; returns [(g_i, e_i), ...] skipping trivial g_i."""
-    parts: list[tuple[int, int]] = []
-    stack = [(f, 1)]
-    while stack:
-        f, e = stack.pop()
-        if _degree(f) < 1:
-            continue
-        fp = _deriv(f)
-        if fp == 0:
-            # all exponents even: f is a perfect square
-            stack.append((_sqrt(f), 2 * e))
-            continue
-        c = _gcd(f, fp)
-        w = _divmod(f, c)[0]
-        i = 1
-        while w != 1:
-            y = _gcd(w, c)
-            fac = _divmod(w, y)[0]
-            if fac != 1:
-                parts.append((fac, e * i))
-            w = y
-            c = _divmod(c, y)[0]
-            i += 1
-        if c != 1:
-            stack.append((_sqrt(c), 2 * e))
-    return parts
 
 
 def _reverse(a: int) -> int:
@@ -418,14 +387,6 @@ def is_squarefree(p: BitPoly) -> bool:
     return _gcd(p.bits, _deriv(p.bits)) == 1
 
 
-def squarefree_parts(p: BitPoly) -> list[tuple[BitPoly, int]]:
-    """Decompose nonzero p as a product of squarefree, pairwise-coprime
-    parts with multiplicities."""
-    if not p.bits:
-        raise ValueError("cannot decompose the zero polynomial")
-    return [(BitPoly(g), e) for g, e in _squarefree_parts(p.bits)]
-
-
 def pow_frobenius(m: BitPoly, k: int) -> BitPoly:
     """X^(2^k) reduced mod m, by k modular squarings."""
     if _degree(m.bits) < 1:
@@ -455,11 +416,18 @@ def is_irreducible(p: BitPoly) -> bool:
 def factor_count(p: BitPoly) -> FactorCount:
     """Count irreducible factors with multiplicity.
 
-    Squarefree decomposition first, then Berlekamp's rank on each part: a
-    part of multiplicity e with r irreducible factors contributes e * r.
-    For squarefree p this is the plain number of irreducible factors.
+    In characteristic 2, c = gcd(f, f') is a perfect square and f / c, the
+    product of the factors of odd multiplicity, is squarefree; so the
+    count is Berlekamp's rank on f / c plus twice the count of sqrt(c).
+    When f' = 0, c = f and f / c = 1.  For squarefree p this is the plain
+    number of irreducible factors.
     """
-    if _degree(p.bits) < 1:
+    f = p.bits
+    if _degree(f) < 1:
         raise ValueError("factor counting needs degree at least 1")
-    total = sum(e * _count_factors_squarefree(g) for g, e in _squarefree_parts(p.bits))
+    total, weight = 0, 1
+    while f != 1:
+        c = _gcd(f, _deriv(f))
+        total += weight * _count_factors_squarefree(_divmod(f, c)[0])
+        f, weight = _sqrt(c), 2 * weight
     return FactorCount(total, "odd" if total & 1 else "even")

@@ -180,12 +180,12 @@ def decimation_reducible(shape: PentShape) -> bool:
     if g == 1:
         return False
     q = PentShape(shape.n // g, shape.s // g)
-    if thm1_reducible(q) or not gf2poly.is_irreducible(BitPoly.from_exponents(q.exponents)):
+    if thm1_reducible(q) or not gf2poly.is_irreducible(gf2poly.pent_poly(q)):
         return True
     return any(pow(2, q.n, r) != 1 for r in _prime_divisors(g))
 
 
 def brute_force_parity(p: BitPoly) -> ParityVerdict:
-    """Observed parity from an actual factor count (squarefree split plus
-    Berlekamp's rank on each part)."""
+    """Observed parity from an actual factor count (``gf2poly.factor_count``:
+    gcd(f, f') and Berlekamp's rank)."""
     return ParityVerdict(gf2poly.factor_count(p).parity, "brute_force")

@@ -284,6 +284,24 @@ def test_search_usage_error_leaves_the_out_file_untouched(capsys, tmp_path, resu
     assert out_path.read_bytes() == before
 
 
+@pytest.mark.parametrize("first, resume", [
+    (("--n-max", "60"), ("--n-max", "40")),
+    (("--n-max", "60"), ("--n-min", "61", "--n-max", "80")),
+    (("--n-max", "61", "--n-parity", "all", "--s-parity", "odd"),
+     ("--n-max", "80", "--s-parity", "odd")),
+])
+def test_search_resume_refuses_to_drop_a_finished_column(capsys, tmp_path, first, resume):
+    # each file ends in a finished column (n = 59, 59, 60) that the resumed run
+    # would not redo
+    out_path = tmp_path / "finished.csv"
+    run(capsys, "search", *first, "--jobs", "1", "--out", str(out_path))
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", *resume, "--jobs", "1", "--out", str(out_path),
+                       "--resume")
+    assert code == 1 and err.startswith("error: ") and "drop the column n=" in err
+    assert out_path.read_bytes() == before
+
+
 def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
     # kill a real run once its file passes a seeded size (the file grows a
     # buffer at a time, so the kill usually tears a line), then resume it

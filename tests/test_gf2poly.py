@@ -20,7 +20,6 @@ from pentaswan.gf2poly import (
     pow_frobenius,
     reciprocal,
     rem,
-    squarefree_parts,
 )
 from pentaswan.search import enumerate_shapes
 
@@ -126,18 +125,6 @@ def test_is_squarefree_examples():
     assert is_squarefree(pent_poly(PentShape(7, 2)))
 
 
-def test_squarefree_parts_degree_accounting():
-    rng = random.Random(10)
-    for _ in range(150):
-        p = rand_poly(rng, 24)
-        if rng.random() < 0.4:  # mix in non-squarefree inputs
-            p = mul(p, p)
-        parts = squarefree_parts(p)
-        assert sum(e * g.degree for g, e in parts) == p.degree
-        for g, _ in parts:
-            assert is_squarefree(g)
-
-
 # --- Frobenius ----------------------------------------------------------------
 
 def test_pow_frobenius_examples():
@@ -220,13 +207,21 @@ def test_reciprocal_preserves_irreducibility():
 
 # --- Berlekamp factor count, against the distinct-degree oracle -----------------
 
+def ranked_quotients(f):
+    """The squarefree quotients f / gcd(f, f') that factor_count ranks."""
+    while f != 1:
+        c = gf2poly._gcd(f, gf2poly._deriv(f))
+        yield gf2poly._divmod(f, c)[0]
+        f = gf2poly._sqrt(c)
+
+
 def test_berlekamp_count_matches_ddf_and_trial_division():
     rng = random.Random(26)
     polys = [pent_poly(shape).bits for shape in enumerate_shapes(7, 200)]  # C1's shapes
     polys += [(1 << n) | (1 << k) | 1 for n in range(2, 120) for k in range(1, n)]
     polys += [(1 << d) | rng.getrandbits(d) for d in (rng.randrange(1, 300) for _ in range(500))]
     polys += range(2, 1 << 9)  # every polynomial of degree 1-8
-    parts = {g for p in polys for g, _ in gf2poly._squarefree_parts(p)}
+    parts = {g for p in polys for g in ranked_quotients(p)}
     assert len(parts) > 7500
     for g in parts:
         count = gf2poly._count_factors_squarefree(g)
@@ -262,7 +257,7 @@ def test_known_irreducibles_are_irreducible():
 
 def test_factor_count_with_multiplicity():
     # P^e * Q^f for distinct irreducibles P, Q has e + f factors; when e = f
-    # the squarefree split leaves one part P * Q of two factors
+    # the loop ranks one squarefree quotient P * Q of two factors
     irreducibles = list(KNOWN_IRREDUCIBLES.values())
     for i, P in enumerate(irreducibles):
         for Q in irreducibles[i + 1:]:
@@ -271,6 +266,20 @@ def test_factor_count_with_multiplicity():
                     p = BitPoly(gf2poly._mul(power(P, e), power(Q, f)))
                     assert factor_count(p).total == e + f, (P.bit_length() - 1, e,
                                                             Q.bit_length() - 1, f)
+
+
+def test_factor_count_at_every_weight_up_to_8():
+    # exponents up to 8 run the loop at weights 1, 2, 4 and 8
+    P, Q, R = KNOWN_IRREDUCIBLES[2], KNOWN_IRREDUCIBLES[3], KNOWN_IRREDUCIBLES[14]
+    for a in range(1, 9):
+        for b in range(1, 9):
+            for c in range(1, 9):
+                p = gf2poly._mul(gf2poly._mul(power(P, a), power(Q, b)), power(R, c))
+                assert factor_count(BitPoly(p)).total == a + b + c, (a, b, c)
+    for k in range(1, 10):  # X^k: the factor X has p(0) = 0
+        assert factor_count(BitPoly(1 << k)).total == k, k
+    p = gf2poly._mul(power(KNOWN_IRREDUCIBLES[2401], 3), power(KNOWN_IRREDUCIBLES[2], 5))
+    assert factor_count(BitPoly(p)) == (8, "even")
 
 
 def test_factor_count_of_pentanomial_powers():
