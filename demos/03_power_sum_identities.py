@@ -9,8 +9,9 @@ For the pentanomial lift with odd n and even s:
     S_{2n-2s} = S_{2n-6s}, hence T_{n-s} = T_{n-3s}
 
 where T_k sums (a_i * a_j)^k over root pairs.  These force the product of
-H(a_i) down to n mod 8.  Negative-index sums come from a formal power
-series and match the ordinary sums of the reciprocal polynomial.
+H(a_i) down to n mod 8.  Negative-index sums are the ordinary sums of the
+reciprocal polynomial, whose roots are the inverses of F's; the test
+suite checks them against a formal power series.
 """
 
 from pentaswan import PentShape, lift, neg_power_sums, pent_poly, power_sums, second_power_sums

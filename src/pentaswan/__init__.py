@@ -38,7 +38,6 @@ from .swan import (
 from .zpoly import (
     ConsistencyError,
     IntPoly,
-    PowerSumTable,
     discriminant,
     discriminant_mod8,
     h_poly,

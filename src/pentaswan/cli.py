@@ -49,9 +49,9 @@ def _poly_from_args(args) -> BitPoly:
 def _parse_mod(text: str) -> int | None:
     if text == "exact":
         return None
-    if text.startswith("2^") and text[2:].isdigit():
+    if text.startswith("2^") and text[2:].isdigit() and int(text[2:]) >= 1:
         return 1 << int(text[2:])
-    raise _UsageError(f"--mod must be 'exact' or '2^k', got {text!r}")
+    raise _UsageError(f"--mod must be 'exact' or '2^k' with k >= 1, got {text!r}")
 
 
 def _emit(args, human: str, machine: dict) -> None:
@@ -147,14 +147,16 @@ def _cmd_disc(args) -> int:
 
 def _cmd_powersums(args) -> int:
     p = _poly_from_args(args)
-    F = zpoly.lift(p)
-    table = zpoly.power_sums(F, args.upto, _parse_mod(args.mod))
+    modulus = _parse_mod(args.mod)
+    values = zpoly.power_sums(zpoly.lift(p), args.upto)
+    if modulus is not None:
+        values = [v % modulus for v in values]
     if args.format == "json":
-        print(json.dumps({"poly": p.to_hex(), "modulus": table.modulus,
-                          "values": {str(m): table[m] for m in range(args.upto + 1)}}))
+        print(json.dumps({"poly": p.to_hex(), "modulus": modulus,
+                          "values": {str(m): v for m, v in enumerate(values)}}))
     else:
-        for m in range(args.upto + 1):
-            print(f"S_{m} = {table[m]}")
+        for m, v in enumerate(values):
+            print(f"S_{m} = {v}")
     return 0
 
 
@@ -177,7 +179,15 @@ def _cmd_search(args) -> int:
                 restart, restart + 1, args.s_parity, args.n_parity))):
             raise _UsageError(f"--resume would drop the column n={restart} of {args.out}, "
                               "which this run's range does not redo")
-        shapes = (sh for sh in shapes if sh.n >= restart)
+        # the kept rows must be the shapes this run would write, red_thm1 exactly
+        # where its prune setting puts it (no shape there can become an error row)
+        expected = search.enumerate_shapes(args.n_min, restart, args.s_parity, args.n_parity)
+        if [(rec.n, rec.s, rec.outcome == search.REDUCIBLE_THM1) for rec in kept] != [
+                (sh.n, sh.s, not args.no_prune and sh.s % 2 == 0 and swan.thm1_reducible(sh))
+                for sh in expected]:
+            raise _UsageError(f"--resume: the rows of {args.out} below n={restart} differ "
+                              "from what this run's flags would write")
+        shapes = search.enumerate_shapes(restart, args.n_max, args.s_parity, args.n_parity)
         os.truncate(args.out, offset)
     records = search.survey(shapes, prune=not args.no_prune, jobs=args.jobs)
     errors = [rec for rec in kept if rec.outcome == search.ERROR]

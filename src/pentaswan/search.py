@@ -262,7 +262,9 @@ def _in_range(rec: SearchRecord) -> bool:
 
 
 def _csv_record(row: list[str]) -> SearchRecord:
-    if len(row) == len(CSV_HEADER) and row[2] in OUTCOMES:
+    # ASCII digits only: int() also takes "1_1", "+9", " 5" and other scripts' digits
+    if (len(row) == len(CSV_HEADER) and row[2] in OUTCOMES
+            and all(f.isascii() and f.isdigit() for f in row[:2] + row[3:])):
         n, s, outcome, elapsed = row
         try:
             rec = SearchRecord(int(n), int(s), outcome, int(elapsed))

@@ -1,11 +1,11 @@
 """Exact integer-polynomial machinery behind the mod-8 discriminant analysis.
 
 Everything here is arbitrary-precision and exact: power sums of the roots
-via Newton's identities (optionally reduced mod 2^k), negative-index power
-sums via a truncated formal power series, resultants via the subresultant
-remainder sequence with Ducos's steps and Lazard's powers (every division
-exact and checked), and the polynomial discriminant reduced mod 8 only
-after it has been computed exactly in Z.
+via Newton's identities (exact values; the CLI reduces them mod 2^k),
+negative-index power sums as the power sums of the reciprocal polynomial,
+resultants via the subresultant remainder sequence with Ducos's steps and
+Lazard's powers (every division exact and checked), and the polynomial
+discriminant reduced mod 8 only after it has been computed exactly in Z.
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -15,16 +15,14 @@ power sum regardless of the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .gf2poly import BitPoly
 
 __all__ = [
     "ConsistencyError",
     "IntPoly",
-    "PowerSumTable",
     "discriminant",
     "discriminant_mod8",
     "h_poly",
@@ -46,9 +44,7 @@ class IntPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple[int, int]] | Mapping[int, int]):
-        if isinstance(terms, Mapping):
-            terms = terms.items()
+    def __init__(self, terms: Iterable[tuple[int, int]]):
         merged: dict[int, int] = {}
         for e, c in terms:
             if e < 0:
@@ -109,7 +105,7 @@ class IntPoly:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return IntPoly(acc)
+        return IntPoly(acc.items())
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         return IntPoly(list(self.terms) + list(other.terms))
@@ -152,26 +148,8 @@ def h_poly(F: IntPoly) -> IntPoly:
     return IntPoly((e, c * (n - e)) for e, c in F.terms if e != n)
 
 
-@dataclass
-class PowerSumTable:
-    """Power sums S_m = sum of m-th powers of the roots, for m = 0..upto.
-
-    ``modulus`` is None for exact values, else the power of two the entries
-    are reduced by.
-    """
-
-    values: dict[int, int]
-    modulus: int | None = None
-
-    def __getitem__(self, m: int) -> int:
-        return self.values[m]
-
-    def __contains__(self, m: int) -> bool:
-        return m in self.values
-
-
-def power_sums(F: IntPoly, upto: int, modulus: int | None = None) -> PowerSumTable:
-    """Power sums of the roots of monic F via Newton's identities.
+def power_sums(F: IntPoly, upto: int) -> list[int]:
+    """Power sums [S_0, ..., S_upto] of the roots of monic F via Newton's identities.
 
     With F = X^n + F_{n-1} X^(n-1) + ... + F_0 and S_m the sum of the m-th
     powers of the roots (with multiplicity):
@@ -179,20 +157,17 @@ def power_sums(F: IntPoly, upto: int, modulus: int | None = None) -> PowerSumTab
         S_m = -m*F_{n-m} - sum_{i=1}^{m-1} F_{n-i} * S_{m-i}     (m <= n)
         S_m = -sum_{i=1}^{n} F_{n-i} * S_{m-i}                   (m > n)
 
-    and S_0 = n.  Integer arithmetic throughout; when ``modulus`` is given
-    (a power of two), every entry is kept reduced.
+    and S_0 = n.  Exact integer arithmetic throughout.
     """
     if not F.is_monic or F.degree < 1:
         raise ValueError("power sums require a monic polynomial of degree >= 1")
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if modulus is not None and (modulus < 2 or modulus & (modulus - 1)):
-        raise ValueError("modulus must be a power of two (or None for exact)")
     n = F.terms[0][0]
     # nonzero F_{n-i} as (offset i, coefficient); terms are exponent-descending,
     # so the offsets come out increasing
     offs = [(n - e, c) for e, c in F.terms if e != n]
-    S = {0: n if modulus is None else n % modulus}
+    S = [n]
     for m in range(1, upto + 1):
         acc = 0
         for i, c in offs:
@@ -202,72 +177,32 @@ def power_sums(F: IntPoly, upto: int, modulus: int | None = None) -> PowerSumTab
                 acc += m * c
             else:
                 break
-        S[m] = -acc if modulus is None else (-acc) % modulus
-    return PowerSumTable(S, modulus)
+        S.append(-acc)
+    return S
 
 
-def second_power_sums(table: PowerSumTable, k: int) -> int:
+def second_power_sums(S: list[int], k: int) -> int:
     """T_k = sum over root pairs i < j of (a_i * a_j)^k, from the identity
-    T_k = (S_k^2 - S_{2k}) / 2 on an exact table."""
-    if table.modulus is not None:
-        raise ValueError("pair power sums need an exact table")
-    if k not in table or 2 * k not in table:
-        raise ValueError(f"table must contain S_{k} and S_{2*k}")
-    num = table[k] ** 2 - table[2 * k]
+    T_k = (S_k^2 - S_{2k}) / 2 on the exact power sums S = [S_0, S_1, ...]."""
+    if not 0 <= 2 * k < len(S):
+        raise ValueError(f"need k >= 0 and power sums up to S_{2*k}, got {len(S)} of them")
+    num = S[k] ** 2 - S[2 * k]
     if num & 1:
         raise ConsistencyError(f"S_{k}^2 - S_{2*k} is odd; power sums corrupted")
     return num // 2
 
 
-def _trunc_mul(dense: list[int], terms: tuple[tuple[int, int], ...], bound: int) -> list[int]:
-    # dense * sparse, truncated to degree <= bound
-    out = [0] * (bound + 1)
-    for e, c in terms:
-        if e > bound:
-            continue
-        for i in range(bound + 1 - e):
-            d = dense[i]
-            if d:
-                out[i + e] += c * d
-    return out
-
-
 def neg_power_sums(F: IntPoly, count: int) -> list[int]:
-    """Negative-index power sums [S_-1, ..., S_-count] of the roots of F.
-
-    Uses the power-series identity
-
-        X*F'(X) * sum_{i>=0} (-1)^(i+1) * (F(X) - 1)^i  =  sum_{i>=1} S_-i X^i,
-
-    valid for monic F with F(0) = 1 (all roots nonzero).  Since F - 1 has
-    X-adic order >= 1, only finitely many i contribute up to degree
-    ``count`` and plain truncated integer arithmetic suffices.
-    """
+    """Negative-index power sums [S_-1, ..., S_-count] of the roots of monic
+    F with F(0) = 1: the reciprocal X^n * F(1/X) is then monic, and its roots
+    are the inverses of F's roots, so these are its power sums S_1..S_count."""
     if not F.is_monic or F.degree < 1:
         raise ValueError("negative power sums require a monic polynomial")
     if F.constant_term() != 1:
         raise ValueError("requires constant term 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    g = tuple((e, c) for e, c in F.terms if 0 < e <= count)
-    order = min((e for e, _ in g), default=count + 1)
-    # series = sum_{i>=0} (-1)^(i+1) g^i, truncated at degree count
-    series = [0] * (count + 1)
-    series[0] = -1
-    power = [0] * (count + 1)
-    power[0] = 1
-    i = 0
-    sign = 1
-    while (i + 1) * order <= count:
-        i += 1
-        power = _trunc_mul(power, g, count)
-        for j in range(i * order, count + 1):
-            if power[j]:
-                series[j] += sign * power[j]
-        sign = -sign
-    xfprime = tuple((e, e * c) for e, c in F.terms if e)
-    out = _trunc_mul(series, xfprime, count)
-    return out[1 : count + 1]
+    return power_sums(F.reciprocal(), count)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -396,3 +396,29 @@ def pair_power_sum_numeric(coeffs: list[int], k: int) -> int:
     if abs(total - value) > mpmath.mpf("1e-20"):
         raise AssertionError(f"pair power sum not integral: {total}")
     return int(value)
+
+
+def series_neg_power_sums(coeffs: list[int], count: int) -> list[int]:
+    """[S_-1, ..., S_-count] for the monic polynomial F with dense low-to-high
+    ``coeffs`` and F(0) = 1, from the formal power-series identity
+
+        X*F'(X) * sum_{i>=0} (-1)^(i+1) * (F(X) - 1)^i  =  sum_{i>=1} S_-i X^i.
+
+    F - 1 has X-adic order >= 1, so (F - 1)^i vanishes below degree i and
+    the sum is finite when truncated at degree ``count``."""
+    assert coeffs[0] == coeffs[-1] == 1
+
+    def times(dense, sparse):  # truncated at degree count
+        out = [0] * (count + 1)
+        for e, c in sparse:
+            for i in range(count + 1 - e):
+                out[i + e] += c * dense[i]
+        return out
+
+    g = [(e, c) for e, c in enumerate(coeffs) if e and c]  # F - 1
+    series, power, sign = [-1] + [0] * count, [1] + [0] * count, 1
+    while any(power):
+        power = times(power, g)
+        series = [a + sign * b for a, b in zip(series, power)]
+        sign = -sign
+    return times(series, [(e, e * c) for e, c in enumerate(coeffs) if e])[1:]

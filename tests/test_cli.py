@@ -137,9 +137,20 @@ def test_powersums_mod_2k(capsys):
     assert payload["values"]["2"] == 6  # -2 mod 8
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_powersums_mod_2k_reduces_every_exact_value(capsys, k):
+    code, out, _ = run(capsys, "powersums", "--n", "40", "--s", "6", "--upto", "120",
+                       "--mod", f"2^{k}", "--format", "json")
+    assert code == 0
+    exact = power_sums(lift(pent_poly(PentShape(40, 6))), 120)
+    assert json.loads(out)["values"] == {str(m): v % (1 << k) for m, v in enumerate(exact)}
+
+
 def test_powersums_bad_mod(capsys):
-    assert run(capsys, "powersums", "--n", "13", "--s", "2", "--upto", "4",
-               "--mod", "8")[0] == 1
+    for mod in ("8", "2^0", "2^x", "3^2"):
+        code, _, err = run(capsys, "powersums", "--n", "13", "--s", "2", "--upto", "4",
+                           "--mod", mod)
+        assert code == 1 and err.startswith("error: --mod"), mod
 
 
 # --- search / stats --------------------------------------------------------------------
@@ -302,6 +313,23 @@ def test_search_resume_refuses_to_drop_a_finished_column(capsys, tmp_path, first
     assert out_path.read_bytes() == before
 
 
+@pytest.mark.parametrize("first, resume", [
+    ((), ("--s-parity", "odd")),
+    ((), ("--no-prune",)),
+    (("--n-parity", "all"), ()),
+    ((), ("--n-min", "9")),
+], ids=["s-parity", "no-prune", "n-parity", "n-min"])
+def test_search_resume_refuses_changed_flags(capsys, tmp_path, first, resume):
+    # the rows below the redone column n = 59 were written under other flags
+    out_path = tmp_path / "flags.csv"
+    run(capsys, "search", "--n-max", "60", *first, "--jobs", "1", "--out", str(out_path))
+    before = out_path.read_bytes()
+    code, _, err = run(capsys, "search", "--n-max", "80", *resume, "--jobs", "1",
+                       "--out", str(out_path), "--resume")
+    assert code == 1 and err.startswith("error: --resume: the rows of ")
+    assert out_path.read_bytes() == before
+
+
 def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
     # kill a real run once its file passes a seeded size (the file grows a
     # buffer at a time, so the kill usually tears a line), then resume it
@@ -379,11 +407,16 @@ JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
     ("n,s,outcome,elapsed_us\n7,x,irr,5\n", "7,x,irr,5"),
     ("n,s,outcome,elapsed_us\n-5,2,irr,-7\n", "fields with integer n,s,elapsed_us"),
     ("n,s,outcome,elapsed_us\n7,2,irr,5\n7,9,irr,5\n", "7,9,irr,5"),
+    ("n,s,outcome,elapsed_us\n1_1,2,red_thm1,3\n", "1_1,2,red_thm1,3"),
+    ("n,s,outcome,elapsed_us\n+9,2,irr,5\n", "+9,2,irr,5"),
+    ("n,s,outcome,elapsed_us\n7,2,irr, 5\n", "7,2,irr, 5"),
+    ("n,s,outcome,elapsed_us\n\u0667,2,irr,5\n", "\u0667,2,irr,5"),
     ('{"n": 7, "s": 9, "outcome": "irr", "elapsed_us": 5}\n', '"s": 9'),
     ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": -1}\n', '"elapsed_us": -1'),
 ], ids=["empty", "headerless", "missing-field", "not-an-object", "string-n", "bool-s",
         "float-elapsed", "unknown-outcome", "csv-unknown-outcome", "csv-three-fields",
-        "csv-five-fields", "csv-not-an-int", "csv-negative", "csv-no-shape", "no-shape",
+        "csv-five-fields", "csv-not-an-int", "csv-negative", "csv-no-shape",
+        "csv-underscore", "csv-plus-sign", "csv-space", "csv-arabic-indic-digit", "no-shape",
         "negative-elapsed"])
 def test_stats_malformed_input_exits_1(capsys, tmp_path, text, message):
     path = tmp_path / "run.csv"

@@ -126,21 +126,11 @@ def test_power_sums_match_companion_traces():
         assert [table[m] for m in range(61)] == traces, F
 
 
-def test_power_sums_mod_2k_consistency():
-    rng = random.Random(22)
-    for _ in range(40):
-        F = rand_01_poly(rng, rng.randrange(2, 41))
-        k = rng.choice([1, 3, 8, 16])
-        exact = power_sums(F, 120)
-        reduced = power_sums(F, 120, modulus=1 << k)
-        assert all(reduced[m] == exact[m] % (1 << k) for m in range(121))
-
-
 def test_power_sums_validation():
     with pytest.raises(ValueError):
         power_sums(IntPoly([(3, 2), (0, 1)]), 5)  # not monic
     with pytest.raises(ValueError):
-        power_sums(pent_lift(7, 2), 5, modulus=6)  # not a power of two
+        power_sums(pent_lift(7, 2), -1)
 
 
 # --- pair power sums T_k ------------------------------------------------------------
@@ -162,15 +152,14 @@ def test_pair_power_sums_numeric_oracle():
 
 
 def test_pair_power_sums_guards():
-    table = power_sums(pent_lift(13, 2), 4)
-    with pytest.raises(ValueError):
-        second_power_sums(table, 12)  # S_24 missing
-    with pytest.raises(ValueError):
-        second_power_sums(power_sums(pent_lift(13, 2), 4, modulus=8), 1)
-    corrupt = power_sums(pent_lift(13, 2), 4)
-    corrupt.values[2] = corrupt.values[2] + 1  # force odd S_1^2 - S_2
+    S = power_sums(pent_lift(13, 2), 4)
+    assert second_power_sums(S, 2) == (S[2] ** 2 - S[4]) // 2
+    for k in (-1, 3, 12):  # a negative index would wrap; S_6 and S_24 are missing
+        with pytest.raises(ValueError):
+            second_power_sums(S, k)
+    S[2] += 1  # force odd S_1^2 - S_2
     with pytest.raises(ConsistencyError):
-        second_power_sums(corrupt, 1)
+        second_power_sums(S, 1)
 
 
 # --- negative power sums --------------------------------------------------------------
@@ -184,19 +173,22 @@ def test_neg_power_sums_pent_13_2_pattern():
     assert neg_power_sums(pent_lift(13, 2), 12) == [0, 0, 0, 0, 0, 0, -7, 0, -9, 0, -11, 0]
 
 
-def test_neg_power_sums_equal_reciprocal_power_sums():
+def test_neg_power_sums_match_the_series_identity():
     rng = random.Random(23)
     cases = [pent_lift(13, 2), pent_lift(19, 4)] + [
         rand_01_poly(rng, rng.randrange(2, 31)) for _ in range(30)
     ]
     for F in cases:
-        table = power_sums(F.reciprocal(), 60)
-        assert neg_power_sums(F, 60) == [table[m] for m in range(1, 61)], F
+        for count in (1, 60):
+            assert neg_power_sums(F, count) == oracles.series_neg_power_sums(
+                F.to_dense(), count), F
 
 
 def test_neg_power_sums_validation():
     with pytest.raises(ValueError):
         neg_power_sums(IntPoly([(2, 1), (1, 1)]), 3)  # constant term 0
+    with pytest.raises(ValueError):
+        neg_power_sums(IntPoly([(2, 2), (1, 1), (0, 1)]), 3)  # not monic
     with pytest.raises(ValueError):
         neg_power_sums(pent_lift(7, 2), 0)
 
