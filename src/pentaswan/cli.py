@@ -49,9 +49,21 @@ def _poly_from_args(args) -> BitPoly:
 def _parse_mod(text: str) -> int | None:
     if text == "exact":
         return None
-    if text.startswith("2^") and text[2:].isdigit() and int(text[2:]) >= 1:
-        return 1 << int(text[2:])
-    raise _UsageError(f"--mod must be 'exact' or '2^k' with k >= 1, got {text!r}")
+    # every value printed is below 2^k, so 2^k must fit Python's int-to-str
+    # limit (taken at its default where the interpreter sets none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    k_max = (10 ** limit).bit_length() - 1
+    k = text[2:]
+    if (text.startswith("2^") and k.isascii() and k.isdigit()
+            and len(k) <= len(str(k_max)) and 1 <= int(k) <= k_max):
+        return 1 << int(k)
+    raise _UsageError(f"--mod must be 'exact' or '2^k' with 1 <= k <= {k_max}, got {text!r}")
+
+
+def _jobs(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
 
 
 def _emit(args, human: str, machine: dict) -> None:
@@ -282,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-parity", choices=("odd", "all"), default="odd")
     p.add_argument("--no-prune", action="store_true",
                    help="skip the closed-form certificate, test every shape")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_jobs, default=None, help="worker processes (default: all cores)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--resume", action="store_true",
@@ -298,7 +310,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trinomial-max", type=int, default=300)
     p.add_argument("--powersum-max", type=int, default=200)
     p.add_argument("--pair-max", type=int, default=120)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="worker processes for the suites (default: all cores)")
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     return parser

@@ -6,10 +6,10 @@ closed-form discriminant vs. exact resultant).  A clean run returns zero
 failures; any failure would be a genuine finding, since the closed forms
 are supposed to be theorems.
 
-Every suite maps a column function over n, each column returning its
-(checked, failures) pair, and merges the columns in n order, which the
-ordered map keeps at any ``jobs``.  The discriminant and power-sum suites
-take no ``jobs`` and sweep in process (about 0.1 s each).
+Every suite computes a column function for each n, each column returning
+its (checked, failures) pair, and merges the columns in n order at any
+``jobs``.  At ``jobs`` > 1 the columns go to the pool as ``4 * jobs + 1``
+striped tasks, and ``run_all`` keeps one pool open for all five suites.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 from typing import Callable
 
 from . import gf2poly, swan, zpoly
-from ._pool import pool_map
+from ._pool import pool_map, shared_pool, workers
 from .gf2poly import PentShape
 
 __all__ = [
@@ -53,10 +53,27 @@ class CheckResult:
         return line
 
 
+def _stripes(ns: range, jobs: int | None) -> list[range]:
+    """Column i of ``ns`` goes to stripe i mod ``count``, one pool task a
+    stripe: a few stripes a worker balance the load for far less dispatch
+    than a task a column.  The count is odd, so each stripe holds every
+    residue of n mod 8; with an even count, the costly n = +-3 (mod 8)
+    columns of ``thm1_soundness`` would crowd into half the stripes."""
+    jobs = workers(jobs)
+    count = 4 * jobs + 1 if jobs > 1 else 1
+    return [ns[j::count] for j in range(min(count, len(ns)))]
+
+
+def _run_stripe(column: Callable, ns: range) -> list[tuple[int, list[str]]]:
+    return [column(n) for n in ns]
+
+
 def _sweep(result: CheckResult, column: Callable, ns: range, jobs: int | None) -> CheckResult:
     """Merge ``column(n)``, a (checked, failures) pair, for every n of
     ``ns`` into ``result``, in n order."""
-    for checked, failures in pool_map(column, ns, jobs):
+    done = list(pool_map(partial(_run_stripe, column), _stripes(ns, jobs), jobs))
+    for i in range(len(ns)):
+        checked, failures = done[i % len(done)][i // len(done)]
         result.checked += checked
         result.failures.extend(failures)
     return result
@@ -128,12 +145,12 @@ def _disc_column(n: int) -> tuple[int, list[str]]:
     return len(_even_s_values(n)), failures
 
 
-def discriminant_agreement(n_max: int = 60) -> CheckResult:
+def discriminant_agreement(n_max: int = 60, jobs: int | None = 1) -> CheckResult:
     """Closed-form discriminant residue vs. the exact resultant route (both
     the root-product form and the classical derivative form), for odd n <=
     n_max, even s."""
     result = CheckResult("discriminant mod 8: closed form vs exact resultant")
-    return _sweep(result, _disc_column, range(7, n_max + 1, 2), 1)
+    return _sweep(result, _disc_column, range(7, n_max + 1, 2), jobs)
 
 
 def _trinomial_column(n: int) -> tuple[int, list[str]]:
@@ -177,12 +194,15 @@ def _powersum_column(n: int, pair_max: int) -> tuple[int, list[str]]:
     return len(_even_s_values(n)), failures
 
 
-def power_sum_identities(n_max: int = 200, pair_max: int = 120) -> CheckResult:
+def power_sum_identities(
+    n_max: int = 200, pair_max: int = 120, jobs: int | None = 1
+) -> CheckResult:
     """Exact power-sum identities of the pentanomial lift, for odd n and
     even s: S_{n-s} = S_{n-2s} = S_{n-3s} = 0 and S_{2n-4s} even for
     n < n_max; S_{2n-2s} = S_{2n-6s} and T_{n-s} = T_{n-3s} for n <= pair_max."""
     result = CheckResult("power-sum identities of the pentanomial lift")
-    return _sweep(result, partial(_powersum_column, pair_max=pair_max), range(7, n_max, 2), 1)
+    column = partial(_powersum_column, pair_max=pair_max)
+    return _sweep(result, column, range(7, n_max, 2), jobs)
 
 
 def run_all(
@@ -194,10 +214,14 @@ def run_all(
     pair_max: int = 120,
     jobs: int | None = 1,
 ) -> list[CheckResult]:
-    return [
-        pent_parity_agreement(parity_max, jobs),
-        thm1_soundness(thm1_max, jobs),
-        discriminant_agreement(disc_max),
-        trinomial_agreement(trinomial_max, jobs),
-        power_sum_identities(powersum_max, pair_max),
-    ]
+    """The five suites in order, all on one pool at ``jobs`` > 1."""
+    # called by their module names, which benchmarks/workloads.py patches
+    # to time each suite
+    with shared_pool(jobs):
+        return [
+            pent_parity_agreement(parity_max, jobs),
+            thm1_soundness(thm1_max, jobs),
+            discriminant_agreement(disc_max, jobs),
+            trinomial_agreement(trinomial_max, jobs),
+            power_sum_identities(powersum_max, pair_max, jobs),
+        ]

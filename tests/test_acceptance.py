@@ -92,7 +92,7 @@ def test_c4_enumerator_census():
 
 def test_c5_discriminant_closed_form_vs_resultant():
     t0 = time.perf_counter()
-    result = verify.discriminant_agreement(60)
+    result = verify.discriminant_agreement(60, jobs=JOBS)
     assert result.failures == []
     assert result.checked == census(7, 61)
     report("C5", f"discriminant residues agree on {result.checked} shapes", t0)
@@ -100,7 +100,7 @@ def test_c5_discriminant_closed_form_vs_resultant():
 
 def test_c6_power_sum_identities():
     t0 = time.perf_counter()
-    result = verify.power_sum_identities(200, 120)
+    result = verify.power_sum_identities(200, 120, jobs=JOBS)
     assert result.failures == []
     assert result.checked == census(7, 200)
     report("C6", f"power-sum identities exact on {result.checked} shapes", t0)

@@ -147,9 +147,11 @@ def test_powersums_mod_2k_reduces_every_exact_value(capsys, k):
 
 
 def test_powersums_bad_mod(capsys):
-    for mod in ("8", "2^0", "2^x", "3^2"):
+    # non-ASCII digits, and a 2^k too long for Python's int-to-str limit
+    for mod, fmt in [("8", "human"), ("2^0", "human"), ("2^x", "human"), ("3^2", "human"),
+                     ("2^\u0663", "human"), ("2^\u00b2", "human"), ("2^100000", "json")]:
         code, _, err = run(capsys, "powersums", "--n", "13", "--s", "2", "--upto", "4",
-                           "--mod", mod)
+                           "--mod", mod, "--format", fmt)
         assert code == 1 and err.startswith("error: --mod"), mod
 
 
@@ -361,6 +363,20 @@ def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
     assert resumed.returncode == 0
     assert out_path.read_bytes().startswith(kept)
     assert row_keys("csv", out_path.read_bytes()) == row_keys("csv", direct)
+
+
+@pytest.mark.parametrize("command", [["search", "--n-max", "20"],
+                                     ["verify", "--parity-max", "20", "--thm1-max", "20"]])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_1_is_a_usage_error_before_any_pool(capsys, monkeypatch, command, jobs):
+    from pentaswan import _pool
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, *command, "--jobs", jobs)
+    assert code == 1 and out == "" and "--jobs: must be a whole number >= 1" in err
 
 
 def test_search_usage_errors(capsys):

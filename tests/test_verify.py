@@ -1,6 +1,9 @@
+import multiprocessing
 import time
 
-from pentaswan import gf2poly, verify
+import pytest
+
+from pentaswan import _pool, gf2poly, verify
 from pentaswan.gf2poly import PentShape
 
 SMALL = dict(parity_max=40, thm1_max=40, disc_max=20, trinomial_max=30,
@@ -14,6 +17,32 @@ def test_run_all_does_not_depend_on_jobs():
     serial = results(1)
     assert [checked > 0 for _, checked, _ in serial] == [True] * 5
     assert results(2) == serial
+    assert results(3) == serial
+
+
+def test_run_all_builds_one_pool_and_leaves_no_worker(monkeypatch):
+    built = []
+
+    class CountingPool(_pool.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", CountingPool)
+    verify.run_all(**SMALL, jobs=2)
+    assert built == [{"max_workers": 2}]
+    assert multiprocessing.active_children() == []
+
+
+def _raising_column(n):
+    raise ZeroDivisionError(f"planted at n={n}")
+
+
+def test_a_raising_column_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(verify, "_thm1_column", _raising_column)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        verify.run_all(**SMALL, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def _uneven_column(n):
@@ -23,11 +52,22 @@ def _uneven_column(n):
 
 
 def test_sweep_merges_columns_in_n_order():
-    ns = range(7, 40)
-    for jobs in (1, 2):
-        result = verify._sweep(verify.CheckResult("uneven"), _uneven_column, ns, jobs)
-        assert result.checked == sum(ns)
-        assert result.failures == [f"failure at {n}" for n in ns]
+    # 0, 1 and 3 columns are fewer than the 9 or 13 stripes of jobs 2 and 3
+    for ns in (range(7, 40), range(7, 7), range(7, 8), range(7, 10)):
+        for jobs in (1, 2, 3):
+            result = verify._sweep(verify.CheckResult("uneven"), _uneven_column, ns, jobs)
+            assert result.checked == sum(ns), (ns, jobs)
+            assert result.failures == [f"failure at {n}" for n in ns], (ns, jobs)
+
+
+def test_every_stripe_holds_every_residue_mod_8():
+    # thm1_soundness's costly columns are n = +-3 (mod 8); an even stripe
+    # count would leave them out of half the stripes
+    ns = range(7, 241)
+    stripes = verify._stripes(ns, 2)
+    assert len(stripes) == 9 and sorted(n for st in stripes for n in st) == list(ns)
+    assert all({n % 8 for n in st} == set(range(8)) for st in stripes)
+    assert verify._stripes(ns, 1) == [ns]
 
 
 def test_odd_n_even_s_pentanomials_are_squarefree():
