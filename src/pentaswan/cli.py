@@ -163,12 +163,16 @@ def _cmd_powersums(args) -> int:
     values = zpoly.power_sums(zpoly.lift(p), args.upto)
     if modulus is not None:
         values = [v % modulus for v in values]
-    if args.format == "json":
-        print(json.dumps({"poly": p.to_hex(), "modulus": modulus,
-                          "values": {str(m): v for m, v in enumerate(values)}}))
-    else:
-        for m, v in enumerate(values):
-            print(f"S_{m} = {v}")
+    try:  # format everything first: a value past the limit prints nothing
+        if args.format == "json":
+            text = json.dumps({"poly": p.to_hex(), "modulus": modulus,
+                               "values": {str(m): v for m, v in enumerate(values)}})
+        else:
+            text = "\n".join(f"S_{m} = {v}" for m, v in enumerate(values))
+    except ValueError:  # Python's int-to-str digit limit
+        raise _UsageError(f"an exact S_m up to --upto {args.upto} has too many digits "
+                          "to print; lower --upto or reduce with --mod 2^k") from None
+    print(text)
     return 0
 
 
@@ -195,8 +199,7 @@ def _cmd_search(args) -> int:
         # where its prune setting puts it (no shape there can become an error row)
         expected = search.enumerate_shapes(args.n_min, restart, args.s_parity, args.n_parity)
         if [(rec.n, rec.s, rec.outcome == search.REDUCIBLE_THM1) for rec in kept] != [
-                (sh.n, sh.s, not args.no_prune and sh.s % 2 == 0 and swan.thm1_reducible(sh))
-                for sh in expected]:
+                (sh.n, sh.s, search._pruned(sh, not args.no_prune)) for sh in expected]:
             raise _UsageError(f"--resume: the rows of {args.out} below n={restart} differ "
                               "from what this run's flags would write")
         shapes = search.enumerate_shapes(restart, args.n_max, args.s_parity, args.n_parity)
@@ -242,6 +245,9 @@ def _cmd_verify(args) -> int:
         trinomial_max=args.trinomial_max, powersum_max=args.powersum_max,
         pair_max=args.pair_max, jobs=args.jobs,
     )
+    if not sum(r.checked for r in results):
+        raise _UsageError("these bounds leave every suite with 0 cases; raise --parity-max, "
+                          "--thm1-max, --disc-max, --trinomial-max or --powersum-max")
     _emit(args, "\n".join(r.summary() for r in results),
           {"suites": [{"name": r.name, "checked": r.checked, "ok": r.ok,
                        "failures": r.failures} for r in results]})

@@ -115,10 +115,16 @@ def enumerate_shapes(
     )
 
 
+def _pruned(shape: PentShape, prune: bool) -> bool:
+    """Whether ``prune`` settles the shape as red_thm1, with no test run;
+    ``cli`` checks kept rows against it on ``search --resume``."""
+    return prune and shape.s % 2 == 0 and swan.thm1_reducible(shape)
+
+
 def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | None]:
     """Classify one shape; returns (outcome, prefilter factor bound)."""
     n, s = shape.n, shape.s
-    if prune and s % 2 == 0 and swan.thm1_reducible(shape):
+    if _pruned(shape, prune):
         return REDUCIBLE_THM1, None
     if n % 2 == 0 and s % 2 == 0:
         # every exponent even: the polynomial is a perfect square

@@ -3,9 +3,10 @@
 Everything here is arbitrary-precision and exact: power sums of the roots
 via Newton's identities (exact values; the CLI reduces them mod 2^k),
 negative-index power sums as the power sums of the reciprocal polynomial,
-resultants via the subresultant remainder sequence with Ducos's steps and
-Lazard's powers (every division exact and checked), and the polynomial
-discriminant reduced mod 8 only after it has been computed exactly in Z.
+resultants of a monic A and any B as B mod A followed by a subresultant
+remainder sequence of Ducos's steps alone, with Lazard's powers (every
+division exact and checked), and the polynomial discriminant reduced mod 8
+only after it has been computed exactly in Z.
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -54,11 +55,6 @@ class IntPoly:
             sorted(((e, c) for e, c in merged.items() if c), reverse=True)
         )
 
-    @classmethod
-    def from_dense(cls, coeffs: Iterable[int]) -> "IntPoly":
-        """Build from a low-to-high dense coefficient list."""
-        return cls((e, c) for e, c in enumerate(coeffs))
-
     @property
     def degree(self) -> int | float:
         return self.terms[0][0] if self.terms else float("-inf")
@@ -91,24 +87,6 @@ class IntPoly:
         for e, c in self.terms:
             out[e] = c
         return out
-
-    def mod2(self) -> BitPoly:
-        bits = 0
-        for e, c in self.terms:
-            if c & 1:
-                bits |= 1 << e
-        return BitPoly(bits)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return IntPoly(acc.items())
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(list(self.terms) + list(other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.terms == other.terms
@@ -209,25 +187,6 @@ def neg_power_sums(F: IntPoly, count: int) -> list[int]:
 # resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # lc(b)^(deg a - deg b + 1) * a modulo b, dense low-to-high lists
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for top in range(da, db - 1, -1):
-        lead = r[top]
-        for i in range(top):
-            r[i] *= lb
-        if lead:
-            off = top - db
-            for i in range(db):
-                r[off + i] -= lead * b[i]
-        r[top] = 0
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
 def _quo(c: int, d: int) -> int:
     q, rr = divmod(c, d)
     if rr:
@@ -289,39 +248,36 @@ def _ducos_rem(a: list[int], b: list[int], h: int) -> tuple[list[int], int]:
 
 def resultant(A: IntPoly, B: IntPoly) -> int:
     """Exact resultant of A and B over Z, by the subresultant remainder
-    sequence: contents split off, a plain pseudo-remainder as the entry
-    step, then Ducos's steps (:func:`_ducos_rem`), which give Brown-Traub's
-    exact remainders without their lc(b)^(delta+1) blow-up, and Lazard's
-    powers for the principal coefficients and the final constant.  Every
+    sequence.  For monic A with roots a_1..a_n (with multiplicity), it is
+    the product of B(a_i), which is what makes it an independent check on
+    root-product identities.  So B may be reduced modulo A first, exactly,
+    as A is monic; with deg b < deg a and lc(a) = 1, Ducos's step
+    (:func:`_ducos_rem`) from h = 1 is the plain entry step, and every step
+    is one.  Ducos's steps give Brown-Traub's exact remainders without their
+    lc(b)^(delta+1) blow-up; Lazard's powers give the principal
+    coefficients and the final constant, and cont(B) is split off.  Every
     division is checked; an inexact one raises ConsistencyError.
 
-    For monic A with roots a_1..a_n (with multiplicity), this equals the
-    product of B(a_i), which is what makes it an independent check on
-    root-product identities.  Requires monic A of degree >= 1 and nonzero B.
+    Requires monic A of degree >= 1 and nonzero B.
     """
     if not A.is_monic or A.degree < 1:
         raise ValueError("resultant requires a monic first argument of degree >= 1")
     if B.is_zero():
         raise ValueError("resultant of the zero polynomial is not supported")
-    a = A.to_dense()
-    b = B.to_dense()
-    sign = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) & 1:
-            sign = -sign
-        a, b = b, a
-    if len(b) == 1:
-        return sign * b[0] ** (len(a) - 1)
-    # contents: res(A, B) = cont(A)^deg B * cont(B)^deg A * res(prim A, prim B)
-    ca, cb = gcd(*a), gcd(*b)
-    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    if ca != 1:
-        a = [c // ca for c in a]
-    if cb != 1:
+    a, b = A.to_dense(), B.to_dense()
+    d = len(a) - 1
+    for top in range(len(b) - 1, d - 1, -1):  # b mod a
+        if b[top]:
+            b[top - d:top] = [x - b[top] * y for x, y in zip(b[top - d:top], a)]
+    del b[d:]
+    while b and b[-1] == 0:
+        b.pop()
+    # Res(A, B) = cont(B)^deg A * Res(A, B / cont(B)); b = [] gives cb = 0
+    cb = gcd(*b)
+    t = cb**d
+    if cb > 1:
         b = [c // cb for c in b]
-    if (len(a) - 1) & (len(b) - 1) & 1:
-        sign = -sign
-    a, b, h = b, _pseudo_rem(a, b), b[-1] ** (len(a) - len(b))  # entry: g = h = 1
+    sign, h = 1, 1
     while len(b) > 1:
         if (len(a) - 1) & (len(b) - 1) & 1:
             sign = -sign

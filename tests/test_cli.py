@@ -155,6 +155,23 @@ def test_powersums_bad_mod(capsys):
         assert code == 1 and err.startswith("error: --mod"), mod
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_powersums_past_the_digit_limit_prints_nothing(capsys, fmt):
+    # under a limit of 640 digits, S_3856 of X^3 + X^2 + 1 is the first
+    # value too long to print
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "powersums", "--poly", "d", "--upto", "5000",
+                             "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--upto" in err and "--mod 2^k" in err
+
+
 # --- search / stats --------------------------------------------------------------------
 
 def test_search_csv_to_file_and_stats(capsys, tmp_path):
@@ -513,6 +530,16 @@ def test_verify_json_counts_equal_the_human_lines(capsys):
         (m[1], int(m[2])) for m in lines
     ]
     assert all(s["ok"] and s["failures"] == [] for s in suites)
+
+
+def test_verify_that_checks_nothing_exits_1(capsys):
+    zeros = ["verify", "--thm1-max", "0", "--disc-max", "0", "--trinomial-max", "0",
+             "--powersum-max", "0", "--jobs", "1", "--format", "json"]
+    code, out, err = run(capsys, *zeros, "--parity-max", "0")
+    assert (code, out) == (1, "") and err.startswith("error: ") and "0 cases" in err
+    code, out, _ = run(capsys, *zeros, "--parity-max", "8")
+    assert code == 0
+    assert [s["checked"] for s in json.loads(out)["suites"]] == [1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

@@ -36,6 +36,16 @@ def rand_01_poly(rng, deg, constant_one=True):
     return IntPoly(terms)
 
 
+def mul(P, Q):
+    """P * Q; the IntPoly constructor sums the like terms."""
+    return IntPoly((e1 + e2, c1 * c2) for e1, c1 in P.terms for e2, c2 in Q.terms)
+
+
+def mod2(F):
+    """F with its coefficients reduced mod 2, as a BitPoly."""
+    return BitPoly(sum(1 << e for e, c in F.terms if c & 1))
+
+
 # --- IntPoly and lift ----------------------------------------------------------
 
 def test_lift_examples():
@@ -49,7 +59,7 @@ def test_lift_mod2_round_trip():
     for _ in range(100):
         bits = (1 << rng.randrange(1, 40)) | rng.getrandbits(30)
         p = BitPoly(bits)
-        assert lift(p).mod2() == p
+        assert mod2(lift(p)) == p
 
 
 def test_lift_rejects_zero():
@@ -60,9 +70,9 @@ def test_lift_rejects_zero():
 def test_intpoly_normalization_and_ops():
     p = IntPoly([(3, 1), (1, 2), (1, -2), (0, 5)])
     assert p.terms == ((3, 1), (0, 5))
-    assert (p * IntPoly([(0, 1)])) == p
+    assert mul(p, IntPoly([(0, 1)])) == p
     assert IntPoly([]).is_zero()
-    assert IntPoly.from_dense([5, 0, 0, 1]) == p
+    assert IntPoly(enumerate([5, 0, 0, 1])) == p
     assert p.to_dense() == [5, 0, 0, 1]
     assert p.derivative() == IntPoly([(2, 3)])
 
@@ -202,6 +212,13 @@ def test_resultant_examples():
     F = pent_lift(7, 2)
     assert resultant(F, h_poly(F)) == 1600327
     assert resultant(F, h_poly(F)) % 8 == 7
+    # deg B >= deg A: B mod A is the constant c, so Res(A, B) = c^deg A
+    assert resultant(Q, IntPoly([(3, 1), (0, 5)])) == 6**2  # X^3 = 1 mod Q
+    C = IntPoly([(3, 1), (0, -2)])
+    assert resultant(C, IntPoly([(4, 1), (1, -2), (0, -3)])) == (-3) ** 3  # X^4 = 2X mod C
+    # deg B >= deg A and B mod A = 0
+    assert resultant(Q, IntPoly([(3, 1), (0, -1)])) == 0  # X^3 - 1 = (X - 1) Q
+    assert resultant(Q, mul(Q, IntPoly([(2, 3), (0, 7)]))) == 0
 
 
 def test_resultant_zero_on_common_factor():
@@ -226,7 +243,8 @@ def test_resultant_matches_sylvester_determinant():
 
 @pytest.fixture
 def ducos_steps(monkeypatch):
-    """Records (a, b, h) of every Ducos step that resultant takes."""
+    """Records (a, b, h) of every Ducos step that resultant takes, the
+    first step of each remainder sequence included."""
     steps = []
     step = zpoly._ducos_rem
 
@@ -277,8 +295,8 @@ def random_pair(rng, i):
     case = ("plain", "equal", "common")[i // 3 % 3]
     if case == "common":  # a planted common factor P: the resultant is 0
         P = random_int_poly(rng, rng.randrange(1, 6), kind, monic=True)
-        A = P * random_int_poly(rng, rng.randrange(1, 30), kind, monic=True)
-        return A, P * random_int_poly(rng, rng.randrange(0, 30), kind, monic=False), 0
+        A = mul(P, random_int_poly(rng, rng.randrange(1, 30), kind, monic=True))
+        return A, mul(P, random_int_poly(rng, rng.randrange(0, 30), kind, monic=False)), 0
     da = rng.randrange(1, 60)
     db = da if case == "equal" else rng.randrange(0, 60)
     A = random_int_poly(rng, da, kind, monic=True)
@@ -311,6 +329,20 @@ def test_ducos_step_raises_on_a_pair_outside_a_chain(ducos_steps):
         zpoly._ducos_rem(a[:-1] + [a[-1] * 1000003], b, h)  # wrong g = lc(a)
 
 
+def test_every_remainder_step_is_a_ducos_step(ducos_steps):
+    # the first step starts from A itself, with B reduced mod A, and h = 1;
+    # each later step starts from the remainder of the step before
+    F = pent_lift(79, 13)
+    for B in (h_poly(F), IntPoly([(90, 5)] + list(h_poly(F).terms))):
+        ducos_steps.clear()
+        assert resultant(F, B) == brown_traub(F, B)
+        (a, b, h), *rest = ducos_steps
+        assert (a, h) == (F.to_dense(), 1) and len(b) < len(a)
+        for (_, prev, _), (a, _, _) in zip(ducos_steps, rest):
+            assert a == prev
+        assert len(rest) > 10
+
+
 def test_lazard_equals_the_power_quotient():
     rng = random.Random(28)
     for n in range(1, 21):
@@ -326,7 +358,7 @@ def test_lazard_equals_the_power_quotient():
 
 def monic_polys(min_degree):
     return st.lists(st.integers(-20, 20), min_size=min_degree, max_size=12).map(
-        lambda low: IntPoly.from_dense(low + [1])
+        lambda low: IntPoly(enumerate(low + [1]))
     )
 
 
@@ -334,7 +366,7 @@ def monic_polys(min_degree):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(monic_polys(1), monic_polys(0), monic_polys(0))
 def test_resultant_is_multiplicative_and_antisymmetric(A, B, C):
-    assert resultant(A, B * C) == resultant(A, B) * resultant(A, C)
+    assert resultant(A, mul(B, C)) == resultant(A, B) * resultant(A, C)
     if B.degree >= 1:
         sign = -1 if (A.degree * B.degree) & 1 else 1
         assert resultant(A, B) == sign * resultant(B, A)
@@ -394,10 +426,10 @@ def test_discriminant_mod8_other_lifts_spot_check():
     for _ in range(60):
         deg = rng.randrange(2, 13)
         F = rand_01_poly(rng, deg)
-        if not is_squarefree(F.mod2()):
+        if not is_squarefree(mod2(F)):
             continue
         j = rng.randrange(1, deg)
-        G = F + IntPoly([(j, 2)])
+        G = IntPoly(F.terms + ((j, 2),))
         if not G.is_monic or G.constant_term() != 1:
             continue
         assert discriminant_mod8(G) == discriminant_mod8(F), (F, j)
