@@ -146,9 +146,10 @@ def _disc_column(n: int) -> tuple[int, list[str]]:
 
 
 def discriminant_agreement(n_max: int = 60, jobs: int | None = 1) -> CheckResult:
-    """Closed-form discriminant residue vs. the exact resultant route (both
-    the root-product form and the classical derivative form), for odd n <=
-    n_max, even s."""
+    """Closed-form discriminant residue vs. two exact resultant routes, for
+    odd n <= n_max, even s: ``discriminant_mod8``, which for these lifts is
+    Swan's reduction of Res(F, n*F - X*F') to a cubic, and the classical
+    Res(F, F') of degree n."""
     result = CheckResult("discriminant mod 8: closed form vs exact resultant")
     return _sweep(result, _disc_column, range(7, n_max + 1, 2), jobs)
 

@@ -6,7 +6,10 @@ negative-index power sums as the power sums of the reciprocal polynomial,
 resultants of a monic A and any B as B mod A followed by a subresultant
 remainder sequence of Ducos's steps alone, with Lazard's powers (every
 division exact and checked), and the polynomial discriminant reduced mod 8
-only after it has been computed exactly in Z.
+only after it has been computed exactly in Z.  For the equally gapped lift
+X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s, Swan's technique
+shrinks the degree-n resultant behind that residue to one of a monic cubic
+and a quadratic; every other polynomial takes the degree-n resultant.
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -287,6 +290,64 @@ def resultant(A: IntPoly, B: IntPoly) -> int:
     return sign * t * _lazard(b[0], h, len(a) - 1)
 
 
+_Triple = tuple[int, int, int]
+
+
+def _cubic_mul(x: _Triple, y: _Triple, t: _Triple) -> _Triple:
+    """x * y in Z[theta]/(T) for monic T = theta^3 + t2*theta^2 + t1*theta + t0,
+    t = (t0, t1, t2), on coefficient triples (c0, c1, c2), low to high."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    t0, t1, t2 = t
+    c0, c1, c2 = x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x1 * y1 + x2 * y0
+    c3, c4 = x1 * y2 + x2 * y1, x2 * y2
+    c3 -= c4 * t2  # theta^4 = -theta * (t2*theta^2 + t1*theta + t0)
+    c2 -= c4 * t1
+    c1 -= c4 * t0
+    return c0 - c3 * t0, c1 - c3 * t1, c2 - c3 * t2  # theta^3 likewise
+
+
+def _cubic_pow(x: _Triple, e: int, t: _Triple) -> _Triple:
+    """x^e in Z[theta]/(T), by square-and-multiply."""
+    out = (1, 0, 0)
+    for bit in bin(e)[2:]:
+        out = _cubic_mul(out, out, t)
+        if bit == "1":
+            out = _cubic_mul(out, x, t)
+    return out
+
+
+def _swan_resultant(n: int, s: int) -> int:
+    """Res(F, n*F - X*F') for F = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
+    with n > 3s, exactly, by Swan's reduction to a cubic.
+
+    With P(Y) = Y^3 + Y^2 + Y + 1, m = n - 3s and g = gcd(n, s), F - 1 =
+    X^m * P(X^s) and H = n*F - X*F' = s*X^m * (X^(2s) + 2X^s + 3) + n, so
+    H * P(X^s) = R(X^s) (mod F) for R(Y) = nY^3 + (n-s)Y^2 + (n-2s)Y + m.
+    F is 1 on every root of P(X^s), so Res(F, P(X^s)) = +-1, and the
+    product of F over the s roots of X^s = gamma, for each root gamma of R,
+    closes in gamma.  Together, Res(F, H) = Res(R, E)^g with
+    E(Y) = 1 - (-1)^(s/g) * P(Y)^(s/g) * Y^(m/g).
+
+    theta = n*gamma is a root of the monic T(Z) = Z^3 + (n-s)Z^2 +
+    n(n-2s)Z + n^2*m, and Res(R, E) = Res(T, W) / n^(2n/g) for
+    W = n^(n/g) + sigma * theta^(m/g) * (theta^3 + n*theta^2 + n^2*theta +
+    n^3)^(s/g) in Z[theta]/(T), sigma = -(-1)^(s/g).  The cubic factor is
+    s * (theta^2 + 2n*theta + 3n^2) modulo T.
+    """
+    g, m = gcd(n, s), n - 3 * s
+    k = s // g
+    t = (n * n * m, n * (n - 2 * s), n - s)
+    T = IntPoly(enumerate(t + (1,)))
+    theta_m = _cubic_pow((0, 1, 0), m // g, t)
+    w = _cubic_mul(theta_m, _cubic_pow((3 * s * n * n, 2 * s * n, s), k, t), t)
+    sigma = 1 if k & 1 else -1
+    W = IntPoly(enumerate((n ** (n // g) + sigma * w[0], sigma * w[1], sigma * w[2])))
+    if W.is_zero():  # W vanishes at every root of T: F has a repeated root
+        return 0
+    return _quo(resultant(T, W), n ** (2 * n // g)) ** g
+
+
 def _disc_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) & 1 else 1
 
@@ -306,10 +367,20 @@ def discriminant_mod8(F: IntPoly) -> int:
     the end; Z/8 is not an integral domain, so no intermediate reduction is
     attempted.  The constant-term-1 hypothesis is what makes the product of
     H over the roots equal the discriminant up to that sign.
+
+    When F is exactly X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s,
+    either parity of n and s, the resultant comes from Swan's reduction
+    (:func:`_swan_resultant`): Res(F, H) = Res(R, E)^gcd(n, s) for a cubic R
+    and a sparse E of degree n / gcd(n, s), itself a resultant of a monic
+    cubic and a quadratic.  Any other F, a near miss included, takes
+    ``resultant(F, h_poly(F))``.
     """
     if F.constant_term() != 1:
         raise ValueError("requires constant term 1")
     if not F.is_monic or F.degree < 2:
         raise ValueError("requires a monic polynomial of degree >= 2")
     n = F.terms[0][0]
+    s = n - F.terms[1][0]
+    if n > 3 * s and F.terms == tuple((e, 1) for e in (n, n - s, n - 2 * s, n - 3 * s, 0)):
+        return _disc_sign(n) * _swan_resultant(n, s) % 8
     return _disc_sign(n) * resultant(F, h_poly(F)) % 8

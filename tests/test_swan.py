@@ -175,25 +175,14 @@ def test_pent_parity_brute_force_small():
 
 def test_odd_gap_bridge_matches_brute_force():
     # no closed form covers odd s, so the bridge is the only shortcut there:
-    # every odd-s shape with 7 <= n < 120, either parity of n (1,177 shapes,
-    # all squarefree; about 2 s).  The same check over n < 201 (3,330
-    # shapes) also agreed, but takes about 12 s, 11 s of it in the resultants.
-    shapes = list(enumerate_shapes(7, 120, s_parity="odd", n_parity="all"))
-    assert len(shapes) == 1177
-    for shape in shapes:
-        p = pent_poly(shape)
-        assert is_squarefree(p), shape
-        bridged = parity_from_discriminant(shape.n, discriminant_mod8(lift(p)))
-        assert bridged.parity == brute_force_parity(p).parity, shape
-
-
-def test_odd_gap_bridge_matches_brute_force_sample_above_120():
-    # a seeded sample of 120 odd-s shapes with 120 <= n < 300, either
-    # parity of n, where the exact resultants take steps with wide degree
-    # gaps on coefficients of up to about 2,400 bits (the chain of (299, 49)
-    # has gaps of 98, 44, 34 and 24); about 13 ms a shape
-    shapes = random.Random(31).sample(
-        list(enumerate_shapes(120, 300, s_parity="odd", n_parity="all")), 120
+    # every odd-s shape with 7 <= n < 201, either parity of n (3,330 shapes,
+    # all squarefree), and a seeded sample of 120 with 201 <= n < 300.  For
+    # these lifts discriminant_mod8 takes Swan's reduction to a cubic, so
+    # the factor counts carry most of the cost (about 1 s in all)
+    shapes = list(enumerate_shapes(7, 201, s_parity="odd", n_parity="all"))
+    assert len(shapes) == 3330
+    shapes += random.Random(31).sample(
+        list(enumerate_shapes(201, 300, s_parity="odd", n_parity="all")), 120
     )
     for shape in shapes:
         p = pent_poly(shape)

@@ -394,12 +394,56 @@ def test_discriminant_mod8_examples():
     assert discriminant_mod8(pent_lift(9, 2)) == 1
 
 
-def test_discriminant_routes_agree():
+@pytest.fixture
+def swan_calls(monkeypatch):
+    """Records (n, s) of every call discriminant_mod8 makes to Swan's reduction."""
+    calls = []
+    reduce = zpoly._swan_resultant
+
+    def recording(n, s):
+        calls.append((n, s))
+        return reduce(n, s)
+
+    monkeypatch.setattr(zpoly, "_swan_resultant", recording)
+    return calls
+
+
+def test_discriminant_routes_agree(swan_calls):
     rng = random.Random(25)
     for _ in range(120):
         F = rand_01_poly(rng, rng.randrange(2, 21))
         assert resultant(F, h_poly(F)) == resultant(F, F.derivative()), F
         assert discriminant_mod8(F) == discriminant(F) % 8, F
+    # near misses of the equally gapped lift take the general route
+    swan_calls.clear()
+    for n, s in [(13, 2), (25, 6), (40, 7), (34, 9)]:
+        gaps = (n, n - s, n - 2 * s, n - 3 * s, 0)
+        near_misses = [
+            IntPoly((e, 1) for e in gaps[:3] + (n - 3 * s - 1, 0)),  # unequal gaps
+            IntPoly(zip(gaps, (1, 1, 3, 1, 1))),  # a coefficient 3
+            IntPoly((e, 1) for e in gaps[:3] + (0,)),  # four terms
+        ]
+        for F in near_misses:
+            assert discriminant_mod8(F) == discriminant(F) % 8, F
+        assert swan_calls == []
+        assert discriminant_mod8(pent_lift(n, s)) == discriminant(pent_lift(n, s)) % 8
+        assert swan_calls == [(n, s)]
+        swan_calls.clear()
+
+
+def test_swan_reduction_equals_the_resultant(ducos_steps):
+    # zero tolerance, as full integers: every lift with 7 <= n < 100, either
+    # parity of n and of s, then a seeded sample of 40 with 120 <= n < 300,
+    # whose resultants take Ducos steps with wide degree gaps
+    shapes = [(n, s) for n in range(7, 100) for s in range(1, (n - 1) // 3 + 1)]
+    assert len(shapes) == 1581
+    shapes += random.Random(32).sample(
+        [(n, s) for n in range(120, 300) for s in range(1, (n - 1) // 3 + 1)], 40
+    )
+    for n, s in shapes:
+        F = pent_lift(n, s)
+        assert zpoly._swan_resultant(n, s) == resultant(F, h_poly(F)), (n, s)
+    assert gap_steps(ducos_steps) > 1000
 
 
 def test_h_product_is_degree_mod8():
