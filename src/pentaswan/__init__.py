@@ -49,7 +49,6 @@ from .zpoly import (
 )
 from .search import (
     SearchRecord,
-    SurveyStats,
     classify_shape,
     enumerate_shapes,
     stats,

@@ -133,20 +133,16 @@ def _cmd_test(args) -> int:
 
 def _cmd_disc(args) -> int:
     routes: dict[str, int] = {}
-    shape = None
     if args.poly is None:
         if args.n is None or args.s is None:
             raise _UsageError("disc needs --n and --s, or --poly")
         shape = PentShape(args.n, args.s)
+        if args.n % 2 and args.s % 2 == 0:
+            routes["closed_form"] = swan.pent_discriminant_closed_form(shape)
         F = zpoly.lift(gf2poly.pent_poly(shape))
     else:
         F = zpoly.lift(BitPoly.from_hex(args.poly))
-    if args.oracle in ("closed", "both"):
-        if shape is None:
-            raise _UsageError("the closed form needs a shape (--n/--s), not --poly")
-        routes["closed_form"] = swan.pent_discriminant_closed_form(shape)
-    if args.oracle in ("resultant", "both"):
-        routes["resultant"] = zpoly.discriminant_mod8(F)
+    routes["resultant"] = zpoly.discriminant_mod8(F)
     lines = [f"{name}: {value}" for name, value in routes.items()]
     agree = len(set(routes.values())) == 1
     if len(routes) > 1:
@@ -235,7 +231,7 @@ def _cmd_stats(args) -> int:
     # JSONL iff the first non-blank line opens an object; read_jsonl skips blank lines
     read = search.read_jsonl if text.lstrip().startswith("{") else search.read_csv
     records = read(text.splitlines(True))
-    print(json.dumps(search.stats(records).to_json_dict(), indent=2, sort_keys=True))
+    print(json.dumps(search.stats(records), indent=2, sort_keys=True))
     return 0
 
 
@@ -277,11 +273,10 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
-    p = add("disc", _cmd_disc, "discriminant mod 8 via closed form and/or resultant")
+    p = add("disc", _cmd_disc, "discriminant mod 8 by resultant; odd n, even s also by closed form")
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--poly")
-    p.add_argument("--oracle", choices=("closed", "resultant", "both"), default="both")
     p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = add("powersums", _cmd_powersums, "power sums of the roots of the integer lift")

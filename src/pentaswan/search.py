@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
@@ -31,7 +31,6 @@ __all__ = [
     "CSV_HEADER",
     "OUTCOMES",
     "SearchRecord",
-    "SurveyStats",
     "classify_shape",
     "enumerate_shapes",
     "read_csv",
@@ -85,10 +84,6 @@ class SearchRecord:
     elapsed_us: int = 0
     factor_bound: int | None = None
     message: str | None = None
-
-    @property
-    def key(self) -> tuple[int, int, str]:
-        return (self.n, self.s, self.outcome)
 
 
 def enumerate_shapes(
@@ -175,55 +170,12 @@ def survey(
     return (SearchRecord(*row) for row in rows)
 
 
-@dataclass
-class SurveyStats:
-    """Aggregates of a survey run; histograms cover irreducible records.
-    ``outcomes`` maps each outcome token seen to (records, summed
-    elapsed_us), the one tally that ``total_checked``, ``total_irreducible``
-    and ``errors`` (error records, which ``total_checked`` includes) read."""
-
-    n_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
-    s_mod8: dict[int, int] = field(default_factory=lambda: dict.fromkeys(range(8), 0))
-    distinct_n_with_irr: int = 0
-    outcomes: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def total_checked(self) -> int:
-        return sum(count for count, _ in self.outcomes.values())
-
-    @property
-    def total_irreducible(self) -> int:
-        return self.outcomes.get(IRREDUCIBLE, (0, 0))[0]
-
-    @property
-    def errors(self) -> int:
-        return self.outcomes.get(ERROR, (0, 0))[0]
-
-    @property
-    def frequency(self) -> float:
-        return self.total_irreducible / self.total_checked if self.total_checked else 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_checked": self.total_checked,
-            "total_irreducible": self.total_irreducible,
-            "n_mod8": {str(r): self.n_mod8[r] for r in range(8)},
-            "s_mod8": {str(r): self.s_mod8[r] for r in range(8)},
-            "distinct_n_with_irr": self.distinct_n_with_irr,
-            "errors": self.errors,
-            "frequency": self.frequency,
-            "arbitrary_poly_baseline": ARBITRARY_POLY_BASELINE,
-            "outcomes": {
-                outcome: {"count": count, "mean_us": us / count}
-                for outcome, (count, us) in self.outcomes.items()
-            },
-        }
-
-
-def stats(records: Iterable[SearchRecord]) -> SurveyStats:
-    """Records and time per outcome, mod-8 histograms over the irreducible
-    records, and from them the totals, the error count and the
-    irreducibility frequency among everything checked."""
+def stats(records: Iterable[SearchRecord]) -> dict:
+    """The report that ``pentaswan stats`` prints: records and mean
+    elapsed_us per outcome, mod-8 histograms of n and s over the
+    irreducible records (keyed "0" to "7"), the distinct n among them, and
+    the totals, the error count and the irreducibility frequency among
+    everything checked (error records included)."""
     n_hist = {r: 0 for r in range(8)}
     s_hist = {r: 0 for r in range(8)}
     irr_ns: set[int] = set()
@@ -235,7 +187,22 @@ def stats(records: Iterable[SearchRecord]) -> SurveyStats:
             n_hist[rec.n % 8] += 1
             s_hist[rec.s % 8] += 1
             irr_ns.add(rec.n)
-    return SurveyStats(n_hist, s_hist, len(irr_ns), outcomes)
+    total = sum(count for count, _ in outcomes.values())
+    irreducible = outcomes.get(IRREDUCIBLE, (0, 0))[0]
+    return {
+        "total_checked": total,
+        "total_irreducible": irreducible,
+        "n_mod8": {str(r): count for r, count in n_hist.items()},
+        "s_mod8": {str(r): count for r, count in s_hist.items()},
+        "distinct_n_with_irr": len(irr_ns),
+        "errors": outcomes.get(ERROR, (0, 0))[0],
+        "frequency": irreducible / total if total else 0.0,
+        "arbitrary_poly_baseline": ARBITRARY_POLY_BASELINE,
+        "outcomes": {
+            outcome: {"count": count, "mean_us": us / count}
+            for outcome, (count, us) in outcomes.items()
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ division exact and checked), and the polynomial discriminant reduced mod 8
 only after it has been computed exactly in Z.  For the equally gapped lift
 X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s, Swan's technique
 shrinks the degree-n resultant behind that residue to one of a monic cubic
-and a quadratic; every other polynomial takes the degree-n resultant.
+and a quadratic; any other F takes the discriminant, from Res(F, F').
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -363,17 +363,17 @@ def discriminant(F: IntPoly) -> int:
 def discriminant_mod8(F: IntPoly) -> int:
     """Discriminant of monic F with F(0) = 1, reduced mod 8.
 
-    Computed exactly as (-1)^(n(n-1)/2) * Res(F, n*F - X*F') and reduced at
-    the end; Z/8 is not an integral domain, so no intermediate reduction is
-    attempted.  The constant-term-1 hypothesis is what makes the product of
-    H over the roots equal the discriminant up to that sign.
+    The constant-term-1 hypothesis makes the product of H = n*F - X*F'
+    over the roots, Res(F, H), equal Res(F, F'), so the discriminant is
+    (-1)^(n(n-1)/2) * Res(F, H); it is computed exactly and reduced at the
+    end, since Z/8 is not an integral domain.
 
     When F is exactly X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s,
-    either parity of n and s, the resultant comes from Swan's reduction
+    either parity of n and s, Res(F, H) comes from Swan's reduction
     (:func:`_swan_resultant`): Res(F, H) = Res(R, E)^gcd(n, s) for a cubic R
     and a sparse E of degree n / gcd(n, s), itself a resultant of a monic
     cubic and a quadratic.  Any other F, a near miss included, takes
-    ``resultant(F, h_poly(F))``.
+    ``discriminant(F) % 8``.
     """
     if F.constant_term() != 1:
         raise ValueError("requires constant term 1")
@@ -383,4 +383,4 @@ def discriminant_mod8(F: IntPoly) -> int:
     s = n - F.terms[1][0]
     if n > 3 * s and F.terms == tuple((e, 1) for e in (n, n - s, n - 2 * s, n - 3 * s, 0)):
         return _disc_sign(n) * _swan_resultant(n, s) % 8
-    return _disc_sign(n) * resultant(F, h_poly(F)) % 8
+    return discriminant(F) % 8

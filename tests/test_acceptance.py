@@ -144,13 +144,13 @@ def test_c9_full_survey_below_3000(tmp_path):
     found = {(r.n, r.s) for r in records if r.outcome == "irr"}
     assert found == set(oracles.table2_pairs())
     agg = stats(records)
-    assert agg.errors == 0
-    assert agg.total_irreducible == 804
-    assert agg.n_mod8[1] == 401 and agg.n_mod8[7] == 403
-    assert {k: v for k, v in agg.s_mod8.items() if k % 2 == 0} == {
-        0: 204, 2: 214, 4: 188, 6: 198,
+    assert agg["errors"] == 0
+    assert agg["total_irreducible"] == 804
+    assert agg["n_mod8"]["1"] == 401 and agg["n_mod8"]["7"] == 403
+    assert {k: v for k, v in agg["s_mod8"].items() if int(k) % 2 == 0} == {
+        "0": 204, "2": 214, "4": 188, "6": 198,
     }
-    assert agg.distinct_n_with_irr == 408
+    assert agg["distinct_n_with_irr"] == 408
     out = tmp_path / "full.csv"
     with open(out, "w") as f:
         from pentaswan.search import write_csv

@@ -22,6 +22,10 @@ from pentaswan.zpoly import lift, power_sums
 SRC = str(Path(pentaswan.__file__).resolve().parent.parent)
 
 
+def record_key(r):
+    return (r.n, r.s, r.outcome)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -98,20 +102,31 @@ def test_test_usage_errors(capsys):
 # --- disc ------------------------------------------------------------------------
 
 def test_disc_both_routes_agree(capsys):
-    code, out, _ = run(capsys, "disc", "--n", "7", "--s", "2", "--oracle", "both")
+    code, out, _ = run(capsys, "disc", "--n", "7", "--s", "2")
     assert code == 0
-    assert "closed_form: 1" in out and "resultant: 1" in out and "agree" in out
+    assert out == "closed_form: 1\nresultant: 1\nagree\n"
+    code, out, _ = run(capsys, "disc", "--n", "7", "--s", "2", "--format", "json")
+    assert code == 0
+    assert out == '{"agree": true, "closed_form": 1, "resultant": 1}\n'
 
 
 def test_disc_resultant_only_from_hex(capsys):
     p = pent_poly(PentShape(11, 2))
-    code, out, _ = run(capsys, "disc", "--poly", p.to_hex(), "--oracle", "resultant")
+    code, out, _ = run(capsys, "disc", "--poly", p.to_hex())
     assert code == 0 and "resultant: 5" in out
+    code, out, _ = run(capsys, "disc", "--poly", "7")
+    assert (code, out) == (0, "resultant: 5\n")
+
+
+def test_disc_without_a_closed_form_prints_the_resultant_only(capsys):
+    # odd s: no closed form, so no agreement line either
+    code, out, _ = run(capsys, "disc", "--n", "13", "--s", "3")
+    assert (code, out) == (0, "resultant: 5\n")
 
 
 def test_disc_usage_errors(capsys):
-    assert run(capsys, "disc", "--poly", "7", "--oracle", "closed")[0] == 1
-    assert run(capsys, "disc", "--oracle", "both")[0] == 1
+    code, _, err = run(capsys, "disc")
+    assert code == 1 and "disc needs --n and --s, or --poly" in err
 
 
 # --- powersums ----------------------------------------------------------------------
@@ -189,7 +204,7 @@ def test_search_csv_to_file_and_stats(capsys, tmp_path):
     code, out, _ = run(capsys, "stats", str(out_path))
     assert code == 0
     payload = json.loads(out)
-    expected = stats(records).to_json_dict()
+    expected = stats(records)
     assert payload == expected
     assert payload["total_irreducible"] == 8
 
@@ -210,6 +225,95 @@ def test_stats_reports_count_and_mean_time_per_outcome(capsys, tmp_path):
     assert sum(o["count"] for o in payload["outcomes"].values()) == payload["total_checked"]
     for outcome, us in times.items():
         assert payload["outcomes"][outcome] == {"count": len(us), "mean_us": sum(us) / len(us)}
+
+
+# the exact report that `stats` prints for a four-row CSV and a header-only one
+STATS_FOUR_ROWS = """\
+{
+  "arbitrary_poly_baseline": 0.0013,
+  "distinct_n_with_irr": 2,
+  "errors": 1,
+  "frequency": 0.5,
+  "n_mod8": {
+    "0": 0,
+    "1": 1,
+    "2": 0,
+    "3": 0,
+    "4": 0,
+    "5": 0,
+    "6": 0,
+    "7": 1
+  },
+  "outcomes": {
+    "error": {
+      "count": 1,
+      "mean_us": 7.0
+    },
+    "irr": {
+      "count": 2,
+      "mean_us": 7.5
+    },
+    "red_thm1": {
+      "count": 1,
+      "mean_us": 1.0
+    }
+  },
+  "s_mod8": {
+    "0": 0,
+    "1": 0,
+    "2": 1,
+    "3": 0,
+    "4": 1,
+    "5": 0,
+    "6": 0,
+    "7": 0
+  },
+  "total_checked": 4,
+  "total_irreducible": 2
+}
+"""
+
+STATS_NO_ROWS = """\
+{
+  "arbitrary_poly_baseline": 0.0013,
+  "distinct_n_with_irr": 0,
+  "errors": 0,
+  "frequency": 0.0,
+  "n_mod8": {
+    "0": 0,
+    "1": 0,
+    "2": 0,
+    "3": 0,
+    "4": 0,
+    "5": 0,
+    "6": 0,
+    "7": 0
+  },
+  "outcomes": {},
+  "s_mod8": {
+    "0": 0,
+    "1": 0,
+    "2": 0,
+    "3": 0,
+    "4": 0,
+    "5": 0,
+    "6": 0,
+    "7": 0
+  },
+  "total_checked": 0,
+  "total_irreducible": 0
+}
+"""
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ("7,2,irr,10\r\n11,2,red_thm1,1\r\n13,2,error,7\r\n17,4,irr,5\r\n", STATS_FOUR_ROWS),
+    ("", STATS_NO_ROWS),
+], ids=["four-rows", "header-only"])
+def test_stats_prints_the_exact_report(capsys, tmp_path, rows, expected):
+    path = tmp_path / "run.csv"
+    path.write_bytes(("n,s,outcome,elapsed_us\r\n" + rows).encode())
+    assert run(capsys, "stats", str(path)) == (0, expected, "")
 
 
 def test_search_jsonl_stdout(capsys):
@@ -235,8 +339,8 @@ def test_search_resume_equivalent_to_one_shot(capsys, tmp_path):
     )
     assert code == 0
     with open(out_path) as f:
-        resumed = [r.key for r in read_csv(f)]
-    direct = [r.key for r in survey(enumerate_shapes(7, 60))]
+        resumed = [record_key(r) for r in read_csv(f)]
+    direct = [record_key(r) for r in survey(enumerate_shapes(7, 60))]
     assert resumed == direct
 
 
@@ -266,7 +370,7 @@ def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatc
 
 def row_keys(fmt, data: bytes):
     text = io.StringIO(data.decode(), newline="")
-    return [r.key for r in (read_csv(text) if fmt == "csv" else read_jsonl(text))]
+    return [record_key(r) for r in (read_csv(text) if fmt == "csv" else read_jsonl(text))]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -299,8 +403,8 @@ def test_search_resume_exits_2_on_a_kept_error_row(capsys, tmp_path):
     assert code == 2
     assert "1 error rows, first at n=7, s=2" in err
     with open(out_path) as f:
-        assert [r.key for r in read_csv(f)] == [(7, 2, "error")] + [
-            r.key for r in survey(enumerate_shapes(9, 14))]
+        assert [record_key(r) for r in read_csv(f)] == [(7, 2, "error")] + [
+            record_key(r) for r in survey(enumerate_shapes(9, 14))]
 
 
 @pytest.mark.parametrize("resume", [False, True])

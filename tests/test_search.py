@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,6 @@ from pentaswan.search import (
     REDUCIBLE_SQUARE,
     REDUCIBLE_THM1,
     SearchRecord,
-    SurveyStats,
     classify_shape,
     enumerate_shapes,
     read_csv,
@@ -28,6 +29,10 @@ from pentaswan.search import (
     write_jsonl,
 )
 from pentaswan.search import _SHAPES_PER_TASK
+
+
+def record_key(r):
+    return (r.n, r.s, r.outcome)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -135,7 +140,7 @@ def test_survey_worker_count_invariance():
     for s_parity, prune in [("even", True), ("even", False), ("odd", True)]:
         shapes = list(enumerate_shapes(7, 120, s_parity, "all"))
         seq, *pooled = [
-            [(r.key, r.factor_bound, r.message)
+            [(record_key(r), r.factor_bound, r.message)
              for r in survey(iter(shapes), prune=prune, jobs=jobs)]
             for jobs in (1, 2, 3)
         ]
@@ -159,9 +164,9 @@ def test_serial_survey_pulls_one_shape_per_record():
 
 
 def test_survey_prune_does_not_change_irreducibles():
-    pruned = {r.key for r in survey(enumerate_shapes(7, 200)) if r.outcome == IRREDUCIBLE}
+    pruned = {record_key(r) for r in survey(enumerate_shapes(7, 200)) if r.outcome == IRREDUCIBLE}
     full = {
-        r.key
+        record_key(r)
         for r in survey(enumerate_shapes(7, 200), prune=False)
         if r.outcome == IRREDUCIBLE
     }
@@ -273,6 +278,23 @@ def test_public_names_and_the_names_the_benchmark_reads_exist():
     assert (rec.n, rec.s, rec.outcome, rec.elapsed_us, rec.factor_bound) == (7, 2, "irr", 5, None)
 
 
+def test_the_library_imports_only_the_standard_library():
+    # pyproject declares no dependencies; numpy and the test tools may be
+    # installed, but no module of the package may import them
+    paths = sorted(Path(pentaswan.__file__).resolve().parent.glob("*.py"))
+    assert len(paths) >= 8
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue  # not an import, or a relative one within the package
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "pentaswan", (path.name, root)
+
+
 def test_prefilter_rejections_audited_by_full_test():
     from pentaswan.gf2poly import is_irreducible, pent_poly
 
@@ -289,20 +311,20 @@ def test_prefilter_rejections_audited_by_full_test():
 def test_stats_small_run():
     records = list(survey(enumerate_shapes(7, 32), prune=False))
     agg = stats(records)
-    assert agg.total_checked == 35
-    assert agg.total_irreducible == 8
-    assert agg.n_mod8[1] == 3 and agg.n_mod8[7] == 5
-    assert agg.s_mod8 == {0: 1, 1: 0, 2: 3, 3: 0, 4: 1, 5: 0, 6: 3, 7: 0}
-    assert agg.distinct_n_with_irr == 5
-    assert agg.frequency == pytest.approx(8 / 35)
-    assert sum(agg.n_mod8.values()) == sum(agg.s_mod8.values()) == 8
+    assert agg["total_checked"] == 35
+    assert agg["total_irreducible"] == 8
+    assert agg["n_mod8"]["1"] == 3 and agg["n_mod8"]["7"] == 5
+    assert agg["s_mod8"] == {"0": 1, "1": 0, "2": 3, "3": 0, "4": 1, "5": 0, "6": 3, "7": 0}
+    assert agg["distinct_n_with_irr"] == 5
+    assert agg["frequency"] == pytest.approx(8 / 35)
+    assert sum(agg["n_mod8"].values()) == sum(agg["s_mod8"].values()) == 8
 
 
 def test_stats_empty_stream():
     agg = stats([])
-    assert agg.total_checked == 0 and agg.total_irreducible == 0
-    assert agg.frequency == 0.0
-    assert set(agg.to_json_dict()) == {
+    assert agg["total_checked"] == 0 and agg["total_irreducible"] == 0
+    assert agg["frequency"] == 0.0
+    assert set(agg) == {
         "total_checked",
         "total_irreducible",
         "n_mod8",
@@ -313,22 +335,17 @@ def test_stats_empty_stream():
         "errors",
         "outcomes",
     }
-    assert agg.to_json_dict()["outcomes"] == {}
-
-
-def test_default_survey_stats_serialize_as_an_empty_run():
-    assert SurveyStats().to_json_dict() == stats([]).to_json_dict()
+    assert agg["outcomes"] == {}
 
 
 def test_stats_counts_error_rows():
-    clean = stats(sample_records()).to_json_dict()
+    clean = stats(sample_records())
     failed = [SearchRecord(13, 2, ERROR, 5), SearchRecord(13, 4, ERROR, 6)]
     agg = stats(sample_records() + failed)
-    assert agg.errors == 2 and clean["errors"] == 0
-    payload = agg.to_json_dict()
-    assert payload["errors"] == 2 and payload["total_checked"] == 5
+    assert agg["errors"] == 2 and clean["errors"] == 0
+    assert agg["total_checked"] == 5
     for key in ("total_irreducible", "n_mod8", "s_mod8", "distinct_n_with_irr"):
-        assert payload[key] == clean[key], key
+        assert agg[key] == clean[key], key
 
 
 # --- flat files -------------------------------------------------------------------
@@ -348,7 +365,7 @@ def test_csv_round_trip():
     assert buf.readline().strip() == ",".join(CSV_HEADER)
     buf.seek(0)
     back = read_csv(buf)
-    assert [r.key for r in back] == [r.key for r in sample_records()]
+    assert [record_key(r) for r in back] == [record_key(r) for r in sample_records()]
     assert [r.elapsed_us for r in back] == [10, 20, 1]
 
 
@@ -362,7 +379,7 @@ def test_jsonl_round_trip():
     assert write_jsonl(sample_records(), buf) == 3
     buf.seek(0)
     back = read_jsonl(buf)
-    assert [r.key for r in back] == [r.key for r in sample_records()]
+    assert [record_key(r) for r in back] == [record_key(r) for r in sample_records()]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -377,7 +394,7 @@ def test_resume_point_cuts_before_the_last_column_and_a_torn_line(fmt):
     for torn in (b"", b"13,2,ir", b'{"n": 13'):
         restart, offset, kept = resume_point(io.BytesIO(data + torn), fmt)
         assert (restart, offset) == (11, before)
-        assert [r.key for r in kept] == [r.key for r in records[:2]]
+        assert [record_key(r) for r in kept] == [record_key(r) for r in records[:2]]
     # one complete row of the last column, then a torn line
     restart, offset, kept = resume_point(io.BytesIO(b"".join(lines[:head + 1]) + b"1"), fmt)
     assert (restart, offset, len(kept)) == (11, before, 2)
