@@ -11,23 +11,27 @@ The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
 integers and carry the performance-sensitive inner loops.  A squaring is
 two ``bytes.translate`` table maps.  ``_smallest_factor_degree_le`` is
-the small-factor prefilter: one short squaring chain per polynomial, each
-step a square and a plain remainder modulo p, with folded gcds.  Factor
+the small-factor prefilter.  On an equally gapped pentanomial
+X^(n-3s) (1 + X^s)^3 + 1 it is a root test: one Zech-logarithm lookup
+per irreducible of each degree d <= PREFILTER_DEPTH = 13, in tables of
+GF(2^d) built on first use.  Any other polynomial takes a short squaring
+chain, each step a square, a plain remainder and a gcd modulo p.  Factor
 counts take no chain: one loop divides f by c = gcd(f, f'), counts the
 squarefree quotient by Berlekamp's rank of Q - I, with Q the matrix of
 squaring modulo it, and goes on with the square root of c at twice the
 weight.  The rank's pivots sit in a list indexed by bit length, and the
 first half of the rows, X^(2i) + X^i with distinct tops, is written in
 without elimination.
-The prefilter runs at PREFILTER_DEPTH = 13; ``_survivor_is_irreducible``
-decides a polynomial that survives it: irreducible iff gcd(p, p') = 1 and
-that rank counts one factor.  ``is_irreducible`` runs the two in turn;
-the survey puts swan's decimation certificate between them.
+``_survivor_is_irreducible`` decides a polynomial that survives the
+prefilter: irreducible iff gcd(p, p') = 1 and that rank counts one
+factor.  ``is_irreducible`` runs the two in turn; the survey puts swan's
+decimation certificate between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -189,42 +193,101 @@ def _count_factors_squarefree(g: int) -> int:
     return n - rank
 
 
-def _fold(a: int, L: int) -> int:
-    """a mod (X^L + 1).  As X^(2w) + 1 = (X^w + 1)^2, XORing the halves of a
-    value shorter than 2w reduces it mod X^w + 1, for w = L * 2^j down to L."""
-    w = L
-    while w < a.bit_length():
-        w <<= 1
-    while w > L:
-        w >>= 1
-        a = (a >> w) ^ (a & ((1 << w) - 1))
-    return a
-
-
 PREFILTER_DEPTH = 13
+
+# a primitive polynomial of each degree d = 2..PREFILTER_DEPTH, by its
+# exponents: X has order exactly 2^d - 1 modulo it, so gamma = X generates
+# GF(2^d)*
+_PRIMITIVE = (
+    (2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
+    (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
+    (13, 4, 3, 1, 0),
+)
+
+
+@cache
+def _root_tables() -> tuple[tuple[list[int], list[int]], ...]:
+    """(z3, reps) for each degree d = 2..PREFILTER_DEPTH, built on first use.
+
+    With L = 2^d - 1 and gamma primitive, z3[k] = 3 Z(k) mod L, where the
+    Zech logarithm Z(k) is the exponent of 1 + gamma^k, for 0 < k < L;
+    z3[0] = L matches no residue, as 1 + gamma^0 = 0.  ``reps`` holds the
+    least element t of each cyclotomic coset {t 2^j mod L} of size d: the
+    gamma^t are one root of each irreducible of degree d."""
+    tables = []
+    for d, exponents in enumerate(_PRIMITIVE, 2):
+        m, L = sum(1 << e for e in exponents), (1 << d) - 1
+        power, log = [0] * L, [0] * (L + 1)
+        x = 1
+        for i in range(L):
+            power[i], log[x] = x, i
+            x <<= 1
+            if x >> d:
+                x ^= m
+        z3 = [L] + [3 * log[power[k] ^ 1] % L for k in range(1, L)]
+        seen, reps = bytearray(L), []
+        for t in range(1, L):
+            u, size = t, 0
+            while not seen[u]:
+                seen[u] = 1
+                u, size = 2 * u % L, size + 1
+            if size == d:
+                reps.append(t)
+        tables.append((z3, reps))
+    return tuple(tables)
+
+
+def _root_degree(n: int, s: int, d_max: int) -> int | None:
+    """The smallest degree d <= min(d_max, n) of an irreducible factor of
+    p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or None: the
+    first d at which p has a root in GF(2^d).  d_max is at most
+    PREFILTER_DEPTH.
+
+    p(beta) = beta^n (1 + beta^(-s))^3 + 1, as X^3 + X^2 + X + 1 = (1 + X)^3
+    over GF(2), so beta = gamma^t is a root iff t s != 0 and 3 Z(-t s) =
+    -t n (mod L).  One root of each irreducible of degree d is tested.
+    Degree 1 is never a hit: p(0) = p(1) = 1."""
+    tables = _root_tables()
+    for d in range(2, min(d_max, n) + 1):
+        z3, reps = tables[d - 2]
+        L = len(z3)
+        a, b = -s % L, -n % L
+        for t in reps:
+            if z3[t * a % L] == t * b % L:
+                return d
+    return None
+
+
+def _chain_degree(p: int, d_max: int) -> int | None:
+    """The smallest degree d <= d_max of an irreducible factor of p, or
+    None, by the squaring chain h_k = X^(2^k) mod p for k <= min(d_max, n):
+    gcd(h_k - X, p) != 1 first at k = d."""
+    h = 2
+    for k in range(1, min(d_max, _degree(p)) + 1):
+        h = _rem(_sqr(h), p)
+        if _gcd(h ^ 2, p) != 1:
+            return k
+    return None
 
 
 def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
     """The small-factor prefilter: the smallest degree d <= d_max of an
-    irreducible factor of p, or None.
+    irreducible factor of p, or None; n for an irreducible p of degree
+    n <= d_max.
 
-    The squaring chain h_k = X^(2^k) mod p runs on p itself for
-    k <= min(d_max, n): gcd(h_k - X, p) != 1 first at k = d, taken as
-    gcd(X^L + 1, p mod (X^L + 1)) on L bits when L = 2^k - 1 < n and
-    p(0) = 1.  Such a gcd does not read h_k, which is then the monomial
-    X^(2^k), of degree at most n, so a chain of depth 13 does real
-    reduction work at only its last few steps.  The benchmark's tracer
-    wraps this name as its prefilter boundary.
+    An equally gapped pentanomial X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1,
+    read off p's bits, takes the root test of :func:`_root_degree` when
+    d_max <= PREFILTER_DEPTH.  Any other p, or a deeper d_max, takes the
+    squaring chain of :func:`_chain_degree`.  The benchmark's tracer wraps
+    this name as its prefilter boundary.
     """
-    n = _degree(p)
-    h = 2
-    for k in range(1, min(d_max, n) + 1):
-        h = _rem(_sqr(h), p)
-        L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide p if p(0) = 1
-        g = _gcd((1 << L) | 1, _fold(p, L)) if p & 1 and L < n else _gcd(h ^ 2, p)
-        if g != 1:
-            return k
-    return None
+    if p & 1 and d_max <= PREFILTER_DEPTH:
+        n = _degree(p)
+        s = n - _degree(p ^ (1 << n))
+        m = n - 3 * s
+        if m > 0 and p == (1 << n | 1 << n - s | 1 << n - 2 * s | 1 << m | 1):
+            return _root_degree(n, s, d_max)
+    return _chain_degree(p, d_max)
 
 
 def _survivor_is_irreducible(p: int) -> bool:
@@ -401,7 +464,7 @@ def pow_frobenius(m: BitPoly, k: int) -> BitPoly:
 
 def is_irreducible(p: BitPoly) -> bool:
     """True iff p, of degree n >= 1, is irreducible over GF(2): the
-    prefilter chain finds no factor of degree <= 13 below n, and then
+    prefilter finds no factor of degree <= 13 below n, and then
     gcd(p, p') = 1 and Berlekamp's rank of Q - I is n - 1 (one factor)."""
     n = _degree(p.bits)
     if n < 1:

@@ -2,14 +2,14 @@
 
 The pipeline is: enumerate shapes in deterministic (n, s) order, classify
 each one, and aggregate statistics.  Classification runs the closed-form
-prune (Theorem 1), the square short-circuit, a short squaring chain for
-the small-factor prefilter, then, for a prefilter survivor with even s,
-the decimation certificate (``swan.decimation_reducible``), and last the
-squarefree gcd plus Berlekamp's rank.  A survivor that the certificate or
-the rank calls reducible is a ``red_full`` row.  Classification of
-distinct shapes is embarrassingly parallel: shapes go to a process pool in
-fixed-size chunks, and the output order comes from the ordered map, so it
-never depends on the worker count.
+prune (Theorem 1), the square short-circuit, the small-factor prefilter
+(a root test over GF(2^d), d <= 13), then, for a prefilter survivor with
+even s, the decimation certificate (``swan.decimation_reducible``), and
+last the squarefree gcd plus Berlekamp's rank.  A survivor that the
+certificate or the rank calls reducible is a ``red_full`` row.
+Classification of distinct shapes is embarrassingly parallel: shapes go to
+a process pool in fixed-size chunks, and the output order comes from the
+ordered map, so it never depends on the worker count.
 """
 
 from __future__ import annotations

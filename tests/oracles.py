@@ -203,10 +203,21 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
     h_(n/q) - X is coprime to p for every prime q | n.  A nontrivial gcd at
     an early-exit k in (depth, n/2], which finds the factors of degree
     dividing k, proves p reducible (None) early; no irreducible p has one.
-    It runs on a squaring chain to degree n and the library's folded gcds;
-    the rank uses neither.
+    It runs on a squaring chain to degree n and folded gcds, with its own
+    fold; the rank uses neither.
     """
-    from pentaswan.gf2poly import _degree, _fold, _gcd, _rem
+    from pentaswan.gf2poly import _degree, _gcd, _rem
+
+    def fold(a: int, L: int) -> int:
+        # a mod (X^L + 1).  As X^(2w) + 1 = (X^w + 1)^2, XORing the halves of
+        # a value shorter than 2w reduces it mod X^w + 1, for w = L 2^j down to L
+        w = L
+        while w < a.bit_length():
+            w <<= 1
+        while w > L:
+            w >>= 1
+            a = (a >> w) ^ (a & ((1 << w) - 1))
+        return a
 
     def prime_factors(n: int) -> list[int]:
         out = []
@@ -239,7 +250,7 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
         h = sqr_mod(h)
         if k in checks:
             L = (1 << k) - 1  # X^(2^k) - X = X (X^L - 1); X does not divide m if m(0) = 1
-            g = _gcd((1 << L) | 1, _fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
+            g = _gcd((1 << L) | 1, fold(m, L)) if m & 1 and L < n else _gcd(h ^ 2, m)
             if g != 1:
                 return k if k <= depth else None
     return n if rabin and _rem(h ^ 2, m) == 0 else None

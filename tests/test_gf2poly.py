@@ -1,4 +1,11 @@
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +214,14 @@ def test_reciprocal_preserves_irreducibility():
 
 # --- Berlekamp factor count, against the distinct-degree oracle -----------------
 
+@pytest.fixture(scope="module")
+def reference_pool():
+    """Two worker processes for the slow oracle halves of differential
+    tests; the library half runs meanwhile in this process."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool
+
+
 def ranked_quotients(f):
     """The squarefree quotients f / gcd(f, f') that factor_count ranks."""
     while f != 1:
@@ -215,17 +230,18 @@ def ranked_quotients(f):
         f = gf2poly._sqrt(c)
 
 
-def test_berlekamp_count_matches_ddf_and_trial_division():
+def test_berlekamp_count_matches_ddf_and_trial_division(reference_pool):
     rng = random.Random(26)
     polys = [pent_poly(shape).bits for shape in enumerate_shapes(7, 200)]  # C1's shapes
     polys += [(1 << n) | (1 << k) | 1 for n in range(2, 120) for k in range(1, n)]
     polys += [(1 << d) | rng.getrandbits(d) for d in (rng.randrange(1, 300) for _ in range(500))]
     polys += range(2, 1 << 9)  # every polynomial of degree 1-8
-    parts = {g for p in polys for g in ranked_quotients(p)}
+    parts = sorted({g for p in polys for g in ranked_quotients(p)})
     assert len(parts) > 7500
-    for g in parts:
+    ddf = reference_pool.map(oracles.ddf_count_factors_squarefree, parts, chunksize=16)
+    for g, expected in zip(parts, ddf):
         count = gf2poly._count_factors_squarefree(g)
-        assert count == oracles.ddf_count_factors_squarefree(g), g
+        assert count == expected, g
         if g.bit_length() <= 21:
             assert count == len(oracles.naive_factors(g)), g
 
@@ -344,19 +360,7 @@ def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_recip
             assert prefilter_then_survivor(q.bits) == expected, q
 
 
-# --- folded gcds and the survivor decision, against the slow paths they replace
-
-def test_fold_matches_rem():
-    rng = random.Random(23)
-    byte_edges = {8 * j + e for j in (2, 4, 16, 64, 128, 255) for e in (-1, 0, 1)}
-    for L in sorted(set(range(1, 17)) | byte_edges | {(1 << k) - 1 for k in range(1, 12)}):
-        values = [0, 1, (1 << L) | 1, (1 << 3000) - 1]
-        for bits in {L - 1, L, L + 1, 2 * L, 2 * L + 1, 8 * L + 8, 3001} - {0}:
-            values.append(rng.getrandbits(bits) | 1 << (bits - 1))  # dense
-            values.append(sum(1 << e for e in rng.sample(range(bits), min(bits, 5))))  # sparse
-        for a in values:
-            assert gf2poly._fold(a, L) == gf2poly._rem(a, (1 << L) | 1), (L, a.bit_length())
-
+# --- the survivor decision, against the slow paths it replaces ---------------
 
 # degrees, all above the prefilter depth, of the irreducibles g in g * P below
 FACTOR_DEGREES = (14, 15, 20, 23, 29, 31, 37)
@@ -487,6 +491,126 @@ def test_has_factor_matches_trial_division():
             (d for d in range(1, d_max + 1) if oracles.naive_has_factor_le(p.bits, d)), None
         )
         assert gf2poly._smallest_factor_degree_le(p.bits, d_max) == expected, (p, d_max)
+
+
+# --- the prefilter's root test, against the chain it replaces on pentanomials ---
+
+def pent_bits(n, s):
+    # n > 3s; below n = 7 too, where PentShape refuses the shape
+    return BitPoly.from_exponents((n, n - s, n - 2 * s, n - 3 * s, 0)).bits
+
+
+def test_root_test_matches_the_chain_on_every_shape_below_300(reference_pool):
+    # zero tolerance, on the same bits: either parity of n and s, s a unit
+    # mod 2^d - 1 or not, at the production depth; every hit degree 2..13
+    # and survivors occur
+    shapes = [(n, s) for n in range(7, 300) for s in range(1, (n - 1) // 3 + 1)]
+    polys = [pent_bits(n, s) for n, s in shapes]
+    chain = reference_pool.map(partial(gf2poly._chain_degree, d_max=13), polys, chunksize=256)
+    hits = set()
+    for shape, p, expected in zip(shapes, polys, chain):
+        d = gf2poly._smallest_factor_degree_le(p, 13)
+        assert d == expected, shape
+        hits.add(d)
+    assert len(shapes) == 14748 and hits == {None, *range(2, 14)}
+
+
+def test_root_test_matches_the_chain_at_every_depth():
+    rng = random.Random(41)
+    shapes = [(n, s) for n in range(4, 14) for s in range(1, (n - 1) // 3 + 1)]
+    shapes += rng.sample([(n, s) for n in range(14, 300) for s in range(1, (n - 1) // 3 + 1)], 300)
+    for n, s in shapes:
+        p = pent_bits(n, s)
+        for d_max in range(14):
+            assert gf2poly._smallest_factor_degree_le(p, d_max) == (
+                gf2poly._chain_degree(p, d_max)), (n, s, d_max)
+
+
+@pytest.mark.parametrize("n", [2401, 2991, 2993, 2998, 2999])
+def test_root_test_matches_the_chain_on_production_columns(reference_pool, n):
+    # at n = 3000 the plain chain takes about 1 ms a shape; the oracle's
+    # chain, with its folded gcds on 2^k - 1 bits, is the same slow path in
+    # a quarter of the time
+    polys = [pent_bits(n, s) for s in range(1, (n - 1) // 3 + 1)]
+    chain = reference_pool.map(
+        partial(oracles.rabin_smallest_factor_degree, depth=13, rabin=False), polys, chunksize=64)
+    survivors = 0
+    for s, (p, expected) in enumerate(zip(polys, chain), 1):
+        d = gf2poly._smallest_factor_degree_le(p, 13)
+        assert d == expected, (n, s)
+        survivors += d is None
+    assert survivors > 0
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """Records (n, s, d_max) of every call the prefilter makes to the root test."""
+    calls = []
+    root_degree = gf2poly._root_degree
+
+    def recording(n, s, d_max):
+        calls.append((n, s, d_max))
+        return root_degree(n, s, d_max)
+
+    monkeypatch.setattr(gf2poly, "_root_degree", recording)
+    return calls
+
+
+def test_only_equally_gapped_pentanomials_take_the_root_test(root_calls):
+    for n, s in [(13, 2), (25, 6), (40, 7), (34, 9), (61, 4), (127, 30)]:
+        gaps = (n, n - s, n - 2 * s, n - 3 * s)
+        near_misses = [
+            BitPoly.from_exponents(gaps[:3] + (n - 3 * s - 1, 0)),  # unequal last gap
+            BitPoly.from_exponents(gaps + (1,)),  # X^0 missing
+            reciprocal(BitPoly.from_exponents(gaps + (0,))),  # n != 4s
+        ]
+        for q in near_misses:
+            assert prefilter_then_survivor(q.bits) == (
+                oracles.naive_smallest_factor_degree(q.bits, 13)), (q, n, s)
+        assert root_calls == []
+        p = pent_bits(n, s)
+        assert prefilter_then_survivor(p) == oracles.naive_smallest_factor_degree(p, 13)
+        assert root_calls == [(n, s, 13)]
+        # a depth past the tables takes the chain
+        assert gf2poly._smallest_factor_degree_le(p, 14) == gf2poly._chain_degree(p, 14)
+        assert root_calls == [(n, s, 13)]
+        root_calls.clear()
+    # the reciprocal of an equally gapped p with n = 4s is p itself
+    p = pent_bits(20, 5)
+    assert reciprocal(BitPoly(p)).bits == p
+    assert gf2poly._smallest_factor_degree_le(p, 13) == gf2poly._chain_degree(p, 13)
+    assert root_calls == [(20, 5, 13)]
+
+
+def test_root_tables_are_primitive_and_complete():
+    tables = gf2poly._root_tables()
+    assert len(tables) == len(gf2poly._PRIMITIVE) == gf2poly.PREFILTER_DEPTH - 1
+    for d, exponents in enumerate(gf2poly._PRIMITIVE, 2):
+        m, L = sum(1 << e for e in exponents), (1 << d) - 1
+        assert m.bit_length() - 1 == d
+        x = 1  # X has order exactly L modulo m
+        for i in range(1, L + 1):
+            x = oracles.poly_divmod_bits(x << 1, m)[1]
+            assert (x == 1) == (i == L), (d, i)
+        z3, reps = tables[d - 2]
+        assert len(z3) == L and z3[0] == L
+        for t in reps:  # the least element of a coset of size d
+            coset = {(t << j) % L for j in range(d)}
+            assert len(coset) == d and min(coset) == t, (d, t)
+    assert [len(reps) for _, reps in tables] == [
+        1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630]
+
+
+def test_importing_pentaswan_builds_no_root_table():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import pentaswan, pentaswan.cli\n"
+            "from pentaswan import gf2poly\n"
+            "print(gf2poly._root_tables.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 # --- text format ---------------------------------------------------------------
