@@ -9,12 +9,10 @@ For the pentanomial lift with odd n and even s:
     S_{2n-2s} = S_{2n-6s}, hence T_{n-s} = T_{n-3s}
 
 where T_k sums (a_i * a_j)^k over root pairs.  These force the product of
-H(a_i) down to n mod 8.  Negative-index sums are the ordinary sums of the
-reciprocal polynomial, whose roots are the inverses of F's; the test
-suite checks them against a formal power series.
+H(a_i) down to n mod 8.
 """
 
-from pentaswan import PentShape, lift, neg_power_sums, pent_poly, power_sums, second_power_sums
+from pentaswan import PentShape, lift, pent_poly, power_sums, second_power_sums
 
 n, s = 13, 2
 F = lift(pent_poly(PentShape(n, s)))
@@ -31,11 +29,3 @@ print(f"  S_(2n-4s) = S_{2*n-4*s} = {table[2*n-4*s]}  (even)")
 print(f"  S_(2n-2s) = {table[2*n-2*s]}   S_(2n-6s) = {table[2*n-6*s]}")
 print(f"  T_(n-s) = {second_power_sums(table, n - s)}   "
       f"T_(n-3s) = {second_power_sums(table, n - 3*s)}")
-
-print()
-print("negative-index power sums vs. the reciprocal polynomial:")
-neg = neg_power_sums(F, 16)
-rec = power_sums(F.reciprocal(), 16)
-print("  S_(-1..-16)(F)      =", neg)
-print("  S_(1..16)(recip F)  =", [rec[m] for m in range(1, 17)])
-assert neg == [rec[m] for m in range(1, 17)]

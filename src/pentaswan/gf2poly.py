@@ -9,23 +9,23 @@ multiplication/remainder reduce to shifts and XORs.
 
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
-integers and carry the performance-sensitive inner loops.  A squaring is
-two ``bytes.translate`` table maps.  ``_smallest_factor_degree_le`` is
-the small-factor prefilter.  On an equally gapped pentanomial
-X^(n-3s) (1 + X^s)^3 + 1 it is a root test: one Zech-logarithm lookup
-per irreducible of each degree d <= PREFILTER_DEPTH = 13, in tables of
-GF(2^d) built on first use.  Any other polynomial takes a short squaring
-chain, each step a square, a plain remainder and a gcd modulo p.  Factor
-counts take no chain: one loop divides f by c = gcd(f, f'), counts the
+integers and carry the performance-sensitive inner loops.
+``_smallest_factor_degree_le`` is the small-factor prefilter.  On an
+equally gapped pentanomial X^(n-3s) (1 + X^s)^3 + 1 it is a root test: one
+Zech-logarithm lookup per irreducible of each degree d <= PREFILTER_DEPTH
+= 13, in tables of GF(2^d) built on first use.  Any other polynomial is
+not tested and goes straight to the survivor decision.  Factor counts
+take no prefilter: one loop divides f by c = gcd(f, f'), counts the
 squarefree quotient by Berlekamp's rank of Q - I, with Q the matrix of
 squaring modulo it, and goes on with the square root of c at twice the
 weight.  The rank's pivots sit in a list indexed by bit length, and the
 first half of the rows, X^(2i) + X^i with distinct tops, is written in
 without elimination.
-``_survivor_is_irreducible`` decides a polynomial that survives the
-prefilter: irreducible iff gcd(p, p') = 1 and that rank counts one
-factor.  ``is_irreducible`` runs the two in turn; the survey puts swan's
-decimation certificate between them.
+``_survivor_is_irreducible`` decides any polynomial of degree >= 1, and
+so any that the prefilter leaves: irreducible iff gcd(p, p') = 1 and that
+rank counts one factor.  ``is_irreducible`` runs the two in turn; the
+survey puts swan's decimation certificate between them.  A squaring, for
+``pow_frobenius``, is two ``bytes.translate`` table maps.
 """
 
 from __future__ import annotations
@@ -237,18 +237,17 @@ def _root_tables() -> tuple[tuple[list[int], list[int]], ...]:
     return tuple(tables)
 
 
-def _root_degree(n: int, s: int, d_max: int) -> int | None:
-    """The smallest degree d <= min(d_max, n) of an irreducible factor of
-    p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or None: the
-    first d at which p has a root in GF(2^d).  d_max is at most
-    PREFILTER_DEPTH.
+def _root_degree(n: int, s: int) -> int | None:
+    """The smallest degree d <= min(PREFILTER_DEPTH, n) of an irreducible
+    factor of p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or
+    None: the first d at which p has a root in GF(2^d).
 
     p(beta) = beta^n (1 + beta^(-s))^3 + 1, as X^3 + X^2 + X + 1 = (1 + X)^3
     over GF(2), so beta = gamma^t is a root iff t s != 0 and 3 Z(-t s) =
     -t n (mod L).  One root of each irreducible of degree d is tested.
     Degree 1 is never a hit: p(0) = p(1) = 1."""
     tables = _root_tables()
-    for d in range(2, min(d_max, n) + 1):
+    for d in range(2, min(PREFILTER_DEPTH, n) + 1):
         z3, reps = tables[d - 2]
         L = len(z3)
         a, b = -s % L, -n % L
@@ -258,42 +257,28 @@ def _root_degree(n: int, s: int, d_max: int) -> int | None:
     return None
 
 
-def _chain_degree(p: int, d_max: int) -> int | None:
-    """The smallest degree d <= d_max of an irreducible factor of p, or
-    None, by the squaring chain h_k = X^(2^k) mod p for k <= min(d_max, n):
-    gcd(h_k - X, p) != 1 first at k = d."""
-    h = 2
-    for k in range(1, min(d_max, _degree(p)) + 1):
-        h = _rem(_sqr(h), p)
-        if _gcd(h ^ 2, p) != 1:
-            return k
-    return None
-
-
-def _smallest_factor_degree_le(p: int, d_max: int) -> int | None:
-    """The small-factor prefilter: the smallest degree d <= d_max of an
-    irreducible factor of p, or None; n for an irreducible p of degree
-    n <= d_max.
-
-    An equally gapped pentanomial X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1,
-    read off p's bits, takes the root test of :func:`_root_degree` when
-    d_max <= PREFILTER_DEPTH.  Any other p, or a deeper d_max, takes the
-    squaring chain of :func:`_chain_degree`.  The benchmark's tracer wraps
-    this name as its prefilter boundary.
+def _smallest_factor_degree_le(p: int) -> int | None:
+    """The small-factor prefilter: for an equally gapped pentanomial
+    X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, read off p's bits, the root
+    test of :func:`_root_degree`, which gives the smallest degree
+    d <= PREFILTER_DEPTH of an irreducible factor of p, or None; n for an
+    irreducible p of degree n <= PREFILTER_DEPTH.  Any other p is not
+    tested and gives None, so it goes to the survivor decision.  The
+    benchmark's tracer wraps this name as its prefilter boundary.
     """
-    if p & 1 and d_max <= PREFILTER_DEPTH:
+    if p & 1:
         n = _degree(p)
         s = n - _degree(p ^ (1 << n))
         m = n - 3 * s
         if m > 0 and p == (1 << n | 1 << n - s | 1 << n - 2 * s | 1 << m | 1):
-            return _root_degree(n, s, d_max)
-    return _chain_degree(p, d_max)
+            return _root_degree(n, s)
+    return None
 
 
 def _survivor_is_irreducible(p: int) -> bool:
-    """The survivor decision: p, with no factor of degree <= PREFILTER_DEPTH,
-    is irreducible iff gcd(p, p') = 1 and Berlekamp's rank counts one
-    factor; the rank alone would count one on the cube of an irreducible."""
+    """The survivor decision: p, of degree >= 1, is irreducible iff
+    gcd(p, p') = 1 and Berlekamp's rank counts one factor; the rank alone
+    would count one on the cube of an irreducible."""
     return _gcd(p, _deriv(p)) == 1 and _count_factors_squarefree(p) == 1
 
 
@@ -463,16 +448,18 @@ def pow_frobenius(m: BitPoly, k: int) -> BitPoly:
 
 
 def is_irreducible(p: BitPoly) -> bool:
-    """True iff p, of degree n >= 1, is irreducible over GF(2): the
-    prefilter finds no factor of degree <= 13 below n, and then
-    gcd(p, p') = 1 and Berlekamp's rank of Q - I is n - 1 (one factor)."""
+    """True iff p, of degree n >= 1, is irreducible over GF(2).  An equally
+    gapped pentanomial is decided by the prefilter's root test when it
+    finds a factor of degree <= 13; any other p, and a pentanomial it
+    leaves, by the survivor decision: gcd(p, p') = 1 and Berlekamp's rank
+    of Q - I is n - 1 (one factor)."""
     n = _degree(p.bits)
     if n < 1:
         raise ValueError("irreducibility needs degree at least 1")
     if _deriv(p.bits) == 0:
         # not for correctness (gcd(p, 0) = p): a perfect square skips the prefilter
         return False
-    d = _smallest_factor_degree_le(p.bits, PREFILTER_DEPTH)
+    d = _smallest_factor_degree_le(p.bits)
     return d == n if d is not None else _survivor_is_irreducible(p.bits)
 
 

@@ -125,7 +125,7 @@ def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | Non
         # every exponent even: the polynomial is a perfect square
         return REDUCIBLE_SQUARE, None
     p = gf2poly.pent_poly(shape).bits
-    d = gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH)
+    d = gf2poly._smallest_factor_degree_le(p)
     if d is None:
         # the decimation certificate, then the rank; n is odd when s is
         # even here, as the even-n shapes returned as squares

@@ -91,14 +91,6 @@ def naive_factors(p: int) -> list[int]:
     return out
 
 
-def naive_has_factor_le(p: int, d_max: int) -> bool:
-    """Trial division by every polynomial of degree 1..d_max."""
-    for d in range(2, 1 << (d_max + 1)):
-        if poly_divmod_bits(p, d)[1] == 0:
-            return True
-    return False
-
-
 def _sparse_chain(p: int):
     """(m, sqr_mod) for a squaring chain over p, the slow paths' own chain.
 

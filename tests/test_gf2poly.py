@@ -321,10 +321,33 @@ def test_sqr_matches_naive_square():
             assert gf2poly._sqr(a) == oracles.naive_square(a), (bits, a)
 
 
+def equally_gapped(p: int) -> bool:
+    """Whether p is X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s,
+    the only input that the prefilter tests."""
+    e = BitPoly(p).exponents()
+    return len(e) == 5 and e[4] == 0 and e[0] - e[1] == e[1] - e[2] == e[2] - e[3]
+
+
+def factor_degrees(p: int) -> list[int]:
+    """The degrees of p's irreducible factors, ascending, by trial division;
+    p's reciprocal has the same."""
+    return sorted(f.bit_length() - 1 for f in oracles.naive_factors(p))
+
+
+def expected_by_trial_division(p: int, degrees: list[int]) -> tuple[int | None, int | None]:
+    """What the prefilter and ``prefilter_then_survivor`` must return on p,
+    from its factor degrees: the smallest, d <= 13, from the prefilter on an
+    equally gapped p; else None from it, and deg(p) or None from the
+    survivor decision.  The second is deg(p) iff p is irreducible."""
+    if equally_gapped(p) and degrees[0] <= 13:
+        return degrees[0], degrees[0]
+    return None, degrees[0] if len(degrees) == 1 else None
+
+
 def prefilter_then_survivor(p: int) -> int | None:
     """The prefilter's degree; for a survivor, deg(p) if the survivor
     decision calls p irreducible, else None."""
-    d = gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH)
+    d = gf2poly._smallest_factor_degree_le(p)
     if d is None and gf2poly._survivor_is_irreducible(p):
         return p.bit_length() - 1
     return d
@@ -340,7 +363,10 @@ def test_prefilter_and_survivor_decision_match_oracle_on_every_shape_below_200()
 
 
 def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_reciprocal():
+    # the few equally gapped p among these take the root test; the prefilter
+    # leaves every other one, and the survivor decision alone decides it
     rng = random.Random(22)
+    gapped = 0
     for i in range(60):
         deg = rng.randrange(1, 41)
         if i % 2:  # sparse, like the survey's pentanomials
@@ -348,16 +374,14 @@ def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_recip
             p = BitPoly.from_exponents(exps)
         else:
             p = BitPoly((1 << deg) | rng.getrandbits(deg) | 1)
-        degrees = sorted(f.bit_length() - 1 for f in oracles.naive_factors(p.bits))
-        depth = rng.randrange(0, 14)
-        shallow = degrees[0] if degrees[0] <= depth else None
-        if degrees[0] <= 13:
-            expected = degrees[0]
-        else:
-            expected = deg if len(degrees) == 1 else None
+        degrees = factor_degrees(p.bits)
         for q in (p, reciprocal(p)):
-            assert gf2poly._smallest_factor_degree_le(q.bits, depth) == shallow, (q, depth)
-            assert prefilter_then_survivor(q.bits) == expected, q
+            prefilter, decision = expected_by_trial_division(q.bits, degrees)
+            assert gf2poly._smallest_factor_degree_le(q.bits) == prefilter, q
+            assert prefilter_then_survivor(q.bits) == decision, q
+            assert is_irreducible(q) == (decision == deg), q
+            gapped += equally_gapped(q.bits)
+    assert gapped > 0  # X^4 + X^3 + X^2 + X + 1 and X^5 + X^4 + X^3 + X^2 + 1
 
 
 # --- the survivor decision, against the slow paths it replaces ---------------
@@ -387,23 +411,22 @@ def table2_products():
 
 
 def test_products_with_a_table2_irreducible_are_reducible(monkeypatch):
-    # g * P: g is X, which the prefilter finds, or an irreducible of degree
-    # > 13, which only the squarefree gcd plus Berlekamp's rank (two
-    # factors) can decide
+    # g * P, with g X or an irreducible of degree > 13, is no equally gapped
+    # pentanomial: the prefilter leaves it, and only the squarefree gcd plus
+    # Berlekamp's rank (two factors) decides it
     for n, s, g, p in table2_products():
-        expected = 1 if g == 2 else None
-        assert prefilter_then_survivor(p) == expected, (n, s, g)
+        assert gf2poly._smallest_factor_degree_le(p) is None, (n, s, g)
+        assert prefilter_then_survivor(p) is None, (n, s, g)
         assert not is_irreducible(BitPoly(p)), (n, s, g)
-        if g != 2:
-            assert gf2poly._count_factors_squarefree(p) == 2, (n, s, g)
-            decided = []
-            survivor = gf2poly._survivor_is_irreducible
-            monkeypatch.setattr(gf2poly, "_survivor_is_irreducible",
-                                lambda q: decided.append(q) or survivor(q))
-            monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
-            assert search.classify_shape(PentShape(n, s)) == ("red_full", None), (n, s, g)
-            assert decided == [p], (n, s, g)  # p itself reached the rank
-            monkeypatch.undo()
+        assert gf2poly._count_factors_squarefree(p) == 2, (n, s, g)
+        decided = []
+        survivor = gf2poly._survivor_is_irreducible
+        monkeypatch.setattr(gf2poly, "_survivor_is_irreducible",
+                            lambda q: decided.append(q) or survivor(q))
+        monkeypatch.setattr(gf2poly, "pent_poly", lambda shape: BitPoly(p))
+        assert search.classify_shape(PentShape(n, s)) == ("red_full", None), (n, s, g)
+        assert decided == [p], (n, s, g)  # p itself reached the rank
+        monkeypatch.undo()
 
 
 def test_non_squarefree_survivors_are_reducible():
@@ -438,7 +461,7 @@ def production_survivors(rng, count):
         n = rng.choice(columns)
         s = 2 * rng.randrange(1, (n - 1) // 6 + 1)
         p = pent_poly(PentShape(n, s)).bits
-        if gf2poly._smallest_factor_degree_le(p, 13) is None:
+        if gf2poly._smallest_factor_degree_le(p) is None:
             out.append((n, s))
     return out
 
@@ -475,22 +498,28 @@ def test_rank_kernel_matches_the_dict_kernel_at_production_degrees():
 
 def test_has_factor_examples():
     prefilter = gf2poly._smallest_factor_degree_le
-    assert prefilter(0b10101, 2) == 2  # (X^2 + X + 1)^2
-    assert prefilter(pent_poly(PentShape(7, 2)).bits, 3) is None
+    assert prefilter(pent_poly(PentShape(7, 2)).bits) == 7  # irreducible, n <= 13
     # pent(13,2) factors into degrees {4, 9}
-    assert prefilter(pent_poly(PentShape(13, 2)).bits, 6) == 4
-    assert prefilter(pent_poly(PentShape(13, 2)).bits, 3) is None
+    assert prefilter(pent_poly(PentShape(13, 2)).bits) == 4
+    # (X^2 + X + 1)^2 and X * pent(7, 2) are not equally gapped pentanomials:
+    # the prefilter leaves them, and the survivor decision finds them reducible
+    for p in (0b10101, pent_poly(PentShape(7, 2)).bits << 1):
+        assert prefilter(p) is None, p
+        assert not gf2poly._survivor_is_irreducible(p), p
+        assert not is_irreducible(BitPoly(p)), p
 
 
 def test_has_factor_matches_trial_division():
+    # random p of degree 8..20, with p(0) = 0 for about half: the prefilter
+    # leaves each one that is no equally gapped pentanomial, and the
+    # survivor decision decides it
     rng = random.Random(15)
     for _ in range(150):
         p = rand_poly(rng, 20, min_deg=8)
-        d_max = rng.randrange(1, 7)
-        expected = next(
-            (d for d in range(1, d_max + 1) if oracles.naive_has_factor_le(p.bits, d)), None
-        )
-        assert gf2poly._smallest_factor_degree_le(p.bits, d_max) == expected, (p, d_max)
+        prefilter, decision = expected_by_trial_division(p.bits, factor_degrees(p.bits))
+        assert gf2poly._smallest_factor_degree_le(p.bits) == prefilter, p
+        assert prefilter_then_survivor(p.bits) == decision, p
+        assert is_irreducible(p) == (decision == p.degree), p
 
 
 # --- the prefilter's root test, against the chain it replaces on pentanomials ---
@@ -501,29 +530,21 @@ def pent_bits(n, s):
 
 
 def test_root_test_matches_the_chain_on_every_shape_below_300(reference_pool):
-    # zero tolerance, on the same bits: either parity of n and s, s a unit
-    # mod 2^d - 1 or not, at the production depth; every hit degree 2..13
-    # and survivors occur
-    shapes = [(n, s) for n in range(7, 300) for s in range(1, (n - 1) // 3 + 1)]
+    # zero tolerance, on the same bits, against the oracle's squaring chain
+    # to depth 13: either parity of n and s, s a unit mod 2^d - 1 or not,
+    # n <= 13 where an irreducible p is found at d = n; every hit degree
+    # 2..13 and survivors occur
+    shapes = [(n, s) for n in range(4, 300) for s in range(1, (n - 1) // 3 + 1)]
     polys = [pent_bits(n, s) for n, s in shapes]
-    chain = reference_pool.map(partial(gf2poly._chain_degree, d_max=13), polys, chunksize=256)
+    chain = reference_pool.map(
+        partial(oracles.rabin_smallest_factor_degree, depth=13, rabin=False), polys,
+        chunksize=256)
     hits = set()
     for shape, p, expected in zip(shapes, polys, chain):
-        d = gf2poly._smallest_factor_degree_le(p, 13)
+        d = gf2poly._smallest_factor_degree_le(p)
         assert d == expected, shape
         hits.add(d)
-    assert len(shapes) == 14748 and hits == {None, *range(2, 14)}
-
-
-def test_root_test_matches_the_chain_at_every_depth():
-    rng = random.Random(41)
-    shapes = [(n, s) for n in range(4, 14) for s in range(1, (n - 1) // 3 + 1)]
-    shapes += rng.sample([(n, s) for n in range(14, 300) for s in range(1, (n - 1) // 3 + 1)], 300)
-    for n, s in shapes:
-        p = pent_bits(n, s)
-        for d_max in range(14):
-            assert gf2poly._smallest_factor_degree_le(p, d_max) == (
-                gf2poly._chain_degree(p, d_max)), (n, s, d_max)
+    assert len(shapes) == 14751 and hits == {None, *range(2, 14)}
 
 
 @pytest.mark.parametrize("n", [2401, 2991, 2993, 2998, 2999])
@@ -536,7 +557,7 @@ def test_root_test_matches_the_chain_on_production_columns(reference_pool, n):
         partial(oracles.rabin_smallest_factor_degree, depth=13, rabin=False), polys, chunksize=64)
     survivors = 0
     for s, (p, expected) in enumerate(zip(polys, chain), 1):
-        d = gf2poly._smallest_factor_degree_le(p, 13)
+        d = gf2poly._smallest_factor_degree_le(p)
         assert d == expected, (n, s)
         survivors += d is None
     assert survivors > 0
@@ -544,13 +565,13 @@ def test_root_test_matches_the_chain_on_production_columns(reference_pool, n):
 
 @pytest.fixture
 def root_calls(monkeypatch):
-    """Records (n, s, d_max) of every call the prefilter makes to the root test."""
+    """Records (n, s) of every call the prefilter makes to the root test."""
     calls = []
     root_degree = gf2poly._root_degree
 
-    def recording(n, s, d_max):
-        calls.append((n, s, d_max))
-        return root_degree(n, s, d_max)
+    def recording(n, s):
+        calls.append((n, s))
+        return root_degree(n, s)
 
     monkeypatch.setattr(gf2poly, "_root_degree", recording)
     return calls
@@ -565,21 +586,21 @@ def test_only_equally_gapped_pentanomials_take_the_root_test(root_calls):
             reciprocal(BitPoly.from_exponents(gaps + (0,))),  # n != 4s
         ]
         for q in near_misses:
+            assert gf2poly._smallest_factor_degree_le(q.bits) is None, (q, n, s)
+            # Rabin's criterion alone: n if q is irreducible, else None
             assert prefilter_then_survivor(q.bits) == (
-                oracles.naive_smallest_factor_degree(q.bits, 13)), (q, n, s)
+                oracles.naive_smallest_factor_degree(q.bits, 0)), (q, n, s)
         assert root_calls == []
         p = pent_bits(n, s)
         assert prefilter_then_survivor(p) == oracles.naive_smallest_factor_degree(p, 13)
-        assert root_calls == [(n, s, 13)]
-        # a depth past the tables takes the chain
-        assert gf2poly._smallest_factor_degree_le(p, 14) == gf2poly._chain_degree(p, 14)
-        assert root_calls == [(n, s, 13)]
+        assert root_calls == [(n, s)]
         root_calls.clear()
     # the reciprocal of an equally gapped p with n = 4s is p itself
     p = pent_bits(20, 5)
     assert reciprocal(BitPoly(p)).bits == p
-    assert gf2poly._smallest_factor_degree_le(p, 13) == gf2poly._chain_degree(p, 13)
-    assert root_calls == [(20, 5, 13)]
+    assert gf2poly._smallest_factor_degree_le(p) == (
+        oracles.rabin_smallest_factor_degree(p, 13, rabin=False))
+    assert root_calls == [(20, 5)]
 
 
 def test_root_tables_are_primitive_and_complete():

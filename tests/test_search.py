@@ -183,7 +183,7 @@ def test_survey_no_certified_irreducible_conflict():
 def test_an_irreducible_the_prefilter_finds_stays_irreducible():
     # for n <= 13 the prefilter finds an irreducible p itself, at d = n
     p = gf2poly.pent_poly(PentShape(7, 2)).bits
-    assert gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH) == 7
+    assert gf2poly._smallest_factor_degree_le(p) == 7
     for prune in (True, False):
         assert classify_shape(PentShape(7, 2), prune) == (IRREDUCIBLE, None)
 
@@ -207,7 +207,7 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
     from pentaswan.zpoly import ConsistencyError
 
     monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree_le",
-                        lambda p, d_max: None)
+                        lambda p: None)
     monkeypatch.setattr(search_mod.gf2poly, "_survivor_is_irreducible", lambda p: True)
     with pytest.raises(ConsistencyError):
         classify_shape(PentShape(11, 2), prune=False)
@@ -226,9 +226,9 @@ def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
     prefilter = gf2poly._smallest_factor_degree_le
     called = []
 
-    def counted(p, d_max):
+    def counted(p):
         called.append(p)
-        return prefilter(p, d_max)
+        return prefilter(p)
 
     monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", counted)
     records = list(survey(shapes, prune=prune, jobs=1))

@@ -248,7 +248,7 @@ def test_decimation_certificate_agrees_with_the_rank_on_every_survivor():
                 assert not decimation_reducible(shape), shape
                 continue
             p = pent_poly(shape).bits
-            if gf2poly._smallest_factor_degree_le(p, gf2poly.PREFILTER_DEPTH) is not None:
+            if gf2poly._smallest_factor_degree_le(p) is not None:
                 continue
             if not decimation_reducible(shape):
                 left.append((n, s))
