@@ -32,7 +32,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _one_polynomial(args) -> None:
+    # --poly, --s and --k each pick the polynomial; two of them would leave
+    # one silently ignored
+    shape = [f"--{name}" for name in ("n", "s", "k") if getattr(args, name, None) is not None]
+    if getattr(args, "poly", None) is not None and shape:
+        raise _UsageError(f"--poly names the polynomial alone, without {' or '.join(shape)}")
+    if args.s is not None and getattr(args, "k", None) is not None:
+        raise _UsageError("--s (pentanomial) and --k (trinomial) name different polynomials")
+
+
 def _poly_from_args(args) -> BitPoly:
+    _one_polynomial(args)
     if args.poly is not None:
         return BitPoly.from_hex(args.poly)
     if args.n is None:
@@ -74,6 +85,7 @@ def _emit(args, human: str, machine: dict) -> None:
 
 
 def _cmd_predict(args) -> int:
+    _one_polynomial(args)
     if args.k is not None:
         verdict = swan.trinomial_parity(args.n, args.k)
         name = f"X^{args.n}+X^{args.k}+1"
@@ -132,6 +144,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    _one_polynomial(args)
     routes: dict[str, int] = {}
     if args.poly is None:
         if args.n is None or args.s is None:
@@ -180,7 +193,7 @@ def _cmd_search(args) -> int:
             raise _UsageError("--resume needs --out")
         try:
             with open(args.out, "rb") as f:
-                restart, offset, kept = search.resume_point(f, args.format)
+                restart, offset, kept = search.resume_point(f)
         except FileNotFoundError:
             pass
     if restart is not None:
@@ -211,11 +224,7 @@ def _cmd_search(args) -> int:
 
     mode = "w" if restart is None else "a"
     with open(args.out, mode, newline="") if args.out else nullcontext(sys.stdout) as out:
-        if args.format == "csv":
-            count = search.write_csv(stream(), out, header=restart is None)
-        else:
-            count = search.write_jsonl(stream(), out)
-    count += len(kept)
+        count = search.write_csv(stream(), out, header=restart is None) + len(kept)
     print(f"classified {count} shapes", file=sys.stderr)
     if errors:
         # the rows stay in the output; the exit status must still report them
@@ -227,10 +236,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_stats(args) -> int:
     with open(args.input) if args.input != "-" else nullcontext(sys.stdin) as f:
-        text = f.read()
-    # JSONL iff the first non-blank line opens an object; read_jsonl skips blank lines
-    read = search.read_jsonl if text.lstrip().startswith("{") else search.read_csv
-    records = read(text.splitlines(True))
+        records = search.read_csv(f)
     print(json.dumps(search.stats(records), indent=2, sort_keys=True))
     return 0
 
@@ -288,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mod", default="exact", help="'exact' or '2^k'")
     p.add_argument("--format", choices=("human", "json"), default="human")
 
-    p = add("search", _cmd_search, "survey a range of shapes, emitting CSV or JSONL")
+    p = add("search", _cmd_search, "survey a range of shapes, emitting CSV")
     p.add_argument("--n-min", type=int, default=7)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--s-parity", choices=("even", "odd"), default="even")
@@ -296,12 +302,11 @@ def build_parser() -> _Parser:
     p.add_argument("--no-prune", action="store_true",
                    help="skip the closed-form certificate, test every shape")
     p.add_argument("--jobs", type=_jobs, default=None, help="worker processes (default: all cores)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--resume", action="store_true",
                    help="continue an interrupted run from the last complete n in --out")
 
-    p = add("stats", _cmd_stats, "aggregate a survey CSV/JSONL into a JSON report")
+    p = add("stats", _cmd_stats, "aggregate a survey CSV into a JSON report")
     p.add_argument("input", help="path to a survey file, or - for stdin")
 
     p = add("verify", _cmd_verify, "run the closed-form vs oracle agreement suites")

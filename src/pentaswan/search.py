@@ -15,7 +15,6 @@ ordered map, so it never depends on the worker count.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -34,15 +33,13 @@ __all__ = [
     "classify_shape",
     "enumerate_shapes",
     "read_csv",
-    "read_jsonl",
     "resume_point",
     "stats",
     "survey",
     "write_csv",
-    "write_jsonl",
 ]
 
-# outcome tokens, as they appear in the CSV/JSONL output
+# outcome tokens, as they appear in the CSV output
 IRREDUCIBLE = "irr"
 REDUCIBLE_THM1 = "red_thm1"
 REDUCIBLE_SQUARE = "red_square"
@@ -222,42 +219,20 @@ def write_csv(records: Iterable[SearchRecord], out: TextIO, header: bool = True)
     return count
 
 
-_ROW_RULE = ("integer n,s,elapsed_us with n >= 7, s >= 1, n > 3s, elapsed_us >= 0 "
-             f"and an outcome in {','.join(OUTCOMES)}")
-
-
-def _in_range(rec: SearchRecord) -> bool:
-    try:
-        PentShape(rec.n, rec.s)
-    except ShapeError:
-        return False
-    return rec.elapsed_us >= 0
-
-
 def _csv_record(row: list[str]) -> SearchRecord:
-    # ASCII digits only: int() also takes "1_1", "+9", " 5" and other scripts' digits
+    # ASCII digits only: int() also takes "1_1", "+9", " 5" and other scripts'
+    # digits; with no sign allowed, elapsed_us >= 0 holds
     if (len(row) == len(CSV_HEADER) and row[2] in OUTCOMES
             and all(f.isascii() and f.isdigit() for f in row[:2] + row[3:])):
-        n, s, outcome, elapsed = row
+        rec = SearchRecord(int(row[0]), int(row[1]), row[2], int(row[3]))
         try:
-            rec = SearchRecord(int(n), int(s), outcome, int(elapsed))
-            if _in_range(rec):
-                return rec
-        except ValueError:
+            PentShape(rec.n, rec.s)
+            return rec
+        except ShapeError:
             pass
-    raise ValueError(f"expected {len(CSV_HEADER)} fields with {_ROW_RULE}: {','.join(row)}")
-
-
-def _jsonl_record(line: str) -> SearchRecord:
-    d = json.loads(line)
-    if not isinstance(d, dict) or not d.keys() >= set(CSV_HEADER):
-        raise ValueError(f"expected a JSON object with {','.join(CSV_HEADER)}: {line.strip()}")
-    rec = SearchRecord(d["n"], d["s"], d["outcome"], d["elapsed_us"])
-    # type() is int, not isinstance: bool subclasses int; int() would pass "7" and 7.5
-    if (type(rec.n) is type(rec.s) is type(rec.elapsed_us) is int
-            and rec.outcome in OUTCOMES and _in_range(rec)):
-        return rec
-    raise ValueError(f"expected {_ROW_RULE}: {line.strip()}")
+    raise ValueError(f"expected {len(CSV_HEADER)} fields with integer n,s,elapsed_us with "
+                     f"n >= 7, s >= 1, n > 3s, elapsed_us >= 0 and an outcome in "
+                     f"{','.join(OUTCOMES)}: {','.join(row)}")
 
 
 def _check_csv_header(header: list[str] | None) -> None:
@@ -271,22 +246,9 @@ def read_csv(src: TextIO) -> list[SearchRecord]:
     return [_csv_record(row) for row in r]
 
 
-def write_jsonl(records: Iterable[SearchRecord], out: TextIO) -> int:
-    count = 0
-    for rec in records:
-        out.write(json.dumps({k: getattr(rec, k) for k in CSV_HEADER}))
-        out.write("\n")
-        count += 1
-    return count
-
-
-def read_jsonl(src: TextIO) -> list[SearchRecord]:
-    return [_jsonl_record(line) for line in src if line.strip()]
-
-
-def resume_point(src: BinaryIO, fmt: str) -> tuple[int | None, int, list[SearchRecord]]:
-    """Where to resume the interrupted run whose CSV or JSONL output ``src``
-    holds: (restart, offset, kept).
+def resume_point(src: BinaryIO) -> tuple[int | None, int, list[SearchRecord]]:
+    """Where to resume the interrupted run whose CSV output ``src`` holds:
+    (restart, offset, kept).
 
     ``restart`` is the largest n among the complete rows, or None when there
     are none; that column may be partial, so it is redone.  ``offset`` is
@@ -301,14 +263,10 @@ def resume_point(src: BinaryIO, fmt: str) -> tuple[int | None, int, list[SearchR
             break
         rows.append((offset, raw.decode()))
         offset += len(raw)
-    if fmt == "csv":
-        if not rows:
-            return None, 0, []
-        _check_csv_header(next(csv.reader([rows.pop(0)[1]])))
-        records = [_csv_record(next(csv.reader([text]))) for _, text in rows]
-    else:
-        rows = [(at, text) for at, text in rows if text.strip()]
-        records = [_jsonl_record(text) for _, text in rows]
+    if not rows:
+        return None, 0, []
+    _check_csv_header(next(csv.reader([rows.pop(0)[1]])))
+    records = [_csv_record(next(csv.reader([text]))) for _, text in rows]
     restart = max((rec.n for rec in records), default=None)
     if restart is None:
         return None, 0, []

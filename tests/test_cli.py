@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import pentaswan
 from pentaswan import cli
 from pentaswan.gf2poly import PentShape, factor_count, pent_poly
-from pentaswan.search import read_csv, read_jsonl, stats, survey, enumerate_shapes
+from pentaswan.search import read_csv, stats, survey, enumerate_shapes
 from pentaswan.swan import pent_discriminant_closed_form
 from pentaswan.zpoly import lift, power_sums
 
@@ -187,6 +188,24 @@ def test_powersums_past_the_digit_limit_prints_nothing(capsys, fmt):
     assert err.startswith("error: ") and "--upto" in err and "--mod 2^k" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("predict", "--n", "9", "--s", "2", "--k", "4"),
+    ("test", "--n", "9", "--s", "2", "--k", "4"),
+    ("test", "--poly", "7", "--n", "9", "--s", "2"),
+    ("test", "--poly", "7", "--k", "1"),
+    ("disc", "--poly", "7", "--n", "7", "--s", "2"),
+    ("disc", "--poly", "7", "--n", "7"),
+    ("powersums", "--poly", "7", "--n", "9", "--s", "2", "--upto", "3"),
+    ("powersums", "--n", "9", "--s", "2", "--k", "4", "--upto", "3"),
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_two_polynomial_selectors_are_a_usage_error(capsys, argv):
+    # each would answer for one polynomial and silently ignore the other
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(("error: --poly names the polynomial alone",
+                           "error: --s (pentanomial) and --k (trinomial)"))
+
+
 # --- search / stats --------------------------------------------------------------------
 
 def test_search_csv_to_file_and_stats(capsys, tmp_path):
@@ -316,16 +335,6 @@ def test_stats_prints_the_exact_report(capsys, tmp_path, rows, expected):
     assert run(capsys, "stats", str(path)) == (0, expected, "")
 
 
-def test_search_jsonl_stdout(capsys):
-    code, out, _ = run(
-        capsys, "search", "--n-min", "7", "--n-max", "14", "--format", "jsonl",
-        "--jobs", "1",
-    )
-    assert code == 0
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert [(r["n"], r["s"]) for r in rows] == [(7, 2), (9, 2), (11, 2), (13, 2), (13, 4)]
-
-
 def test_search_resume_equivalent_to_one_shot(capsys, tmp_path):
     out_path = tmp_path / "resumable.csv"
     run(capsys, "search", "--n-min", "7", "--n-max", "30", "--jobs", "1",
@@ -368,16 +377,14 @@ def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatc
     assert json.loads(out)["errors"] == 3
 
 
-def row_keys(fmt, data: bytes):
-    text = io.StringIO(data.decode(), newline="")
-    return [record_key(r) for r in (read_csv(text) if fmt == "csv" else read_jsonl(text))]
+def row_keys(data: bytes):
+    return [record_key(r) for r in read_csv(io.StringIO(data.decode(), newline=""))]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv"])
 def test_search_resume_after_a_torn_line_appends_and_keeps_rows_in_place(capsys, tmp_path, fmt):
     out_path = tmp_path / f"torn.{fmt}"
-    args = ("search", "--n-min", "7", "--n-max", "60", "--jobs", "1", "--format", fmt,
-            "--out", str(out_path))
+    args = ("search", "--n-min", "7", "--n-max", "60", "--jobs", "1", "--out", str(out_path))
     run(capsys, *args)
     direct = out_path.read_bytes()
     # a kill during a write leaves a partial last line
@@ -385,14 +392,13 @@ def test_search_resume_after_a_torn_line_appends_and_keeps_rows_in_place(capsys,
     out_path.write_bytes(torn)
     *complete, partial = torn.splitlines(keepends=True)
     assert not partial.endswith(b"\n")
-    header = 1 if fmt == "csv" else 0
-    keys = row_keys(fmt, b"".join(complete))
-    kept = b"".join(complete[:header + sum(n < keys[-1][0] for n, _, _ in keys)])
+    keys = row_keys(b"".join(complete))
+    kept = b"".join(complete[:1 + sum(n < keys[-1][0] for n, _, _ in keys)])
     code, _, err = run(capsys, *args, "--resume")
-    assert code == 0 and f"classified {len(row_keys(fmt, direct))} shapes" in err
+    assert code == 0 and f"classified {len(row_keys(direct))} shapes" in err
     resumed = out_path.read_bytes()
     assert resumed.startswith(kept)
-    assert row_keys(fmt, resumed) == row_keys(fmt, direct)
+    assert row_keys(resumed) == row_keys(direct)
 
 
 def test_search_resume_exits_2_on_a_kept_error_row(capsys, tmp_path):
@@ -477,13 +483,13 @@ def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
     killed = out_path.read_bytes()
     assert cut <= len(killed) < len(direct)
     complete = [line for line in killed.splitlines(keepends=True) if line.endswith(b"\n")]
-    keys = row_keys("csv", b"".join(complete))
+    keys = row_keys(b"".join(complete))
     kept = b"".join(complete[:1 + sum(n < keys[-1][0] for n, _, _ in keys)])
     resumed = subprocess.run(command + ["--resume"], env=env, stderr=subprocess.DEVNULL,
                              timeout=120)
     assert resumed.returncode == 0
     assert out_path.read_bytes().startswith(kept)
-    assert row_keys("csv", out_path.read_bytes()) == row_keys("csv", direct)
+    assert row_keys(out_path.read_bytes()) == row_keys(direct)
 
 
 @pytest.mark.parametrize("command", [["search", "--n-max", "20"],
@@ -500,26 +506,32 @@ def test_jobs_below_1_is_a_usage_error_before_any_pool(capsys, monkeypatch, comm
     assert code == 1 and out == "" and "--jobs: must be a whole number >= 1" in err
 
 
-def test_search_usage_errors(capsys):
-    assert run(capsys, "search", "--n-max", "20", "--format", "xml")[0] == 1
+def test_search_usage_errors(capsys, tmp_path):
+    # CSV is the one survey format: --format is no option of search, and is
+    # refused before the file is opened
+    out_path = tmp_path / "run.csv"
+    run(capsys, "search", "--n-max", "20", "--jobs", "1", "--out", str(out_path))
+    before = out_path.read_bytes()
+    code, out, err = run(capsys, "search", "--n-max", "20", "--format", "jsonl",
+                         "--out", str(out_path), "--resume")
+    assert (code, out) == (1, "") and "unrecognized arguments: --format jsonl" in err
+    assert out_path.read_bytes() == before
     assert run(capsys, "search", "--n-max", "20", "--resume")[0] == 1
     assert run(capsys, "search", "--n-min", "3", "--n-max", "20")[0] == 1
     assert run(capsys, "search", "--n-max", "20", "--prefilter-depth", "13")[0] == 1
 
 
-def test_stats_reads_jsonl_and_stdin_dash(capsys, tmp_path, monkeypatch):
-    out_path = tmp_path / "run.jsonl"
-    run(capsys, "search", "--n-min", "7", "--n-max", "20", "--format", "jsonl",
-        "--jobs", "1", "--out", str(out_path))
-    code, out, _ = run(capsys, "stats", str(out_path))
+def test_stats_reads_stdin_dash(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "run.csv"
+    run(capsys, "search", "--n-min", "7", "--n-max", "20", "--jobs", "1",
+        "--out", str(out_path))
+    code, from_file, _ = run(capsys, "stats", str(out_path))
     assert code == 0
-    expected = sum(1 for _ in enumerate_shapes(7, 20))
-    assert json.loads(out)["total_checked"] == expected
+    assert json.loads(from_file)["total_checked"] == sum(1 for _ in enumerate_shapes(7, 20))
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(out_path.read_text()))
-    code, out, _ = run(capsys, "stats", "-")
-    assert code == 0
-    assert json.loads(out)["total_checked"] == expected
+    # the CRLF line ends that search writes reach stdin untranslated
+    monkeypatch.setattr("sys.stdin", io.StringIO(out_path.read_bytes().decode()))
+    assert run(capsys, "stats", "-") == (0, from_file, "")
 
 
 def test_stats_missing_file(capsys):
@@ -532,12 +544,13 @@ JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
 @pytest.mark.parametrize("text, message", [
     ("", "expected CSV header"),
     ("7,2,irr,5\n9,2,irr,6\n", "expected CSV header"),
-    ('{"n": 7, "s": 2}\n', 'elapsed_us: {"n": 7, "s": 2}'),
-    (JSONL_ROW + "[1]\n", "elapsed_us: [1]"),
-    ('{"n": "7", "s": 2, "outcome": "irr", "elapsed_us": 5}\n', '{"n": "7", "s": 2'),
-    ('{"n": 7, "s": true, "outcome": "irr", "elapsed_us": 5}\n', '"s": true'),
-    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5.0}\n', '"elapsed_us": 5.0'),
-    ('{"n": 7, "s": 2, "outcome": "bogus", "elapsed_us": 5}\n', '"outcome": "bogus"'),
+    # JSON lines, well formed or not, fail the CSV header check
+    ('{"n": 7, "s": 2}\n', "expected CSV header"),
+    (JSONL_ROW + "[1]\n", "expected CSV header"),
+    ('{"n": "7", "s": 2, "outcome": "irr", "elapsed_us": 5}\n', "expected CSV header"),
+    ('{"n": 7, "s": true, "outcome": "irr", "elapsed_us": 5}\n', "expected CSV header"),
+    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5.0}\n', "expected CSV header"),
+    ('{"n": 7, "s": 2, "outcome": "bogus", "elapsed_us": 5}\n', "expected CSV header"),
     ("n,s,outcome,elapsed_us\n7,2,bogus,5\n", "7,2,bogus,5"),
     ("n,s,outcome,elapsed_us\n7,2,irr\n", "fields with integer n,s,elapsed_us"),
     ("n,s,outcome,elapsed_us\n7,2,irr,5,0\n", "7,2,irr,5,0"),
@@ -548,8 +561,8 @@ JSONL_ROW = '{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": 5}\n'
     ("n,s,outcome,elapsed_us\n+9,2,irr,5\n", "+9,2,irr,5"),
     ("n,s,outcome,elapsed_us\n7,2,irr, 5\n", "7,2,irr, 5"),
     ("n,s,outcome,elapsed_us\n\u0667,2,irr,5\n", "\u0667,2,irr,5"),
-    ('{"n": 7, "s": 9, "outcome": "irr", "elapsed_us": 5}\n', '"s": 9'),
-    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": -1}\n', '"elapsed_us": -1'),
+    ('{"n": 7, "s": 9, "outcome": "irr", "elapsed_us": 5}\n', "expected CSV header"),
+    ('{"n": 7, "s": 2, "outcome": "irr", "elapsed_us": -1}\n', "expected CSV header"),
 ], ids=["empty", "headerless", "missing-field", "not-an-object", "string-n", "bool-s",
         "float-elapsed", "unknown-outcome", "csv-unknown-outcome", "csv-three-fields",
         "csv-five-fields", "csv-not-an-int", "csv-negative", "csv-no-shape",
@@ -569,9 +582,9 @@ def test_search_resume_on_malformed_jsonl_exits_1_and_keeps_the_file(capsys, tmp
     out_path.write_text(JSONL_ROW + '{"n": 9, "s": 2}\n[1]\n')
     before = out_path.read_bytes()
     code, _, err = run(capsys, "search", "--n-min", "7", "--n-max", "14", "--jobs", "1",
-                       "--format", "jsonl", "--out", str(out_path), "--resume")
+                       "--out", str(out_path), "--resume")
     assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: expected CSV header") and "Traceback" not in err
     assert out_path.read_bytes() == before
 
 
@@ -595,18 +608,6 @@ def test_search_resume_on_an_out_of_range_csv_row_exits_1_and_keeps_the_file(cap
     assert code == 1
     assert err.startswith("error: ") and "-5,2,irr,-7" in err and "Traceback" not in err
     assert out_path.read_bytes() == before
-
-
-def test_stats_sniffs_jsonl_past_leading_blank_lines(capsys, tmp_path):
-    out_path = tmp_path / "run.jsonl"
-    run(capsys, "search", "--n-min", "7", "--n-max", "20", "--format", "jsonl",
-        "--jobs", "1", "--out", str(out_path))
-    code, plain, _ = run(capsys, "stats", str(out_path))
-    assert code == 0
-    out_path.write_text("\n  \n" + out_path.read_text())
-    code, padded, err = run(capsys, "stats", str(out_path))
-    assert code == 0, err
-    assert padded == plain
 
 
 # --- verify -----------------------------------------------------------------------------
@@ -673,3 +674,35 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def readme_commands():
+    """Every ``pentaswan <command> ...`` line in the README's code blocks,
+    joined with its indented continuation lines, comments dropped."""
+    commands, in_block, joined = [], False, False
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        text = line.split("#")[0].rstrip().rstrip("\\").strip()
+        if line.startswith("```"):
+            in_block, joined = not in_block, False
+        elif in_block and text.startswith("pentaswan "):
+            commands.append(text)
+            joined = True
+        elif in_block and joined and line[:1].isspace() and text:
+            commands[-1] += " " + text
+        else:
+            joined = False
+    return commands
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    commands = readme_commands()
+    assert {command.split()[1] for command in commands} == set(subparsers)
+    for command in commands:
+        name = command.split()[1]
+        options = subparsers[name]._option_string_actions
+        for option, value in re.findall(r"(--[a-z][a-z-]*)(?:[ =]([^\s\[\]]+))?", command):
+            assert option in options, f"{command}: {name} has no {option}"
+            if "|" in value:
+                assert tuple(value.split("|")) == options[option].choices, f"{command}: {option}"

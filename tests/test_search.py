@@ -21,12 +21,10 @@ from pentaswan.search import (
     classify_shape,
     enumerate_shapes,
     read_csv,
-    read_jsonl,
     resume_point,
     stats,
     survey,
     write_csv,
-    write_jsonl,
 )
 from pentaswan.search import _SHAPES_PER_TASK
 
@@ -374,28 +372,20 @@ def test_csv_header_required():
         read_csv(io.StringIO("7,2,irr,10\n"))
 
 
-def test_jsonl_round_trip():
-    buf = io.StringIO()
-    assert write_jsonl(sample_records(), buf) == 3
-    buf.seek(0)
-    back = read_jsonl(buf)
-    assert [record_key(r) for r in back] == [record_key(r) for r in sample_records()]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv"])
 def test_resume_point_cuts_before_the_last_column_and_a_torn_line(fmt):
     records = sample_records() + [SearchRecord(11, 3, REDUCIBLE_THM1, 2)]
     buf = io.StringIO(newline="")
-    (write_csv if fmt == "csv" else write_jsonl)(records, buf)
+    write_csv(records, buf)
     data = buf.getvalue().encode()
     lines = data.splitlines(keepends=True)
     head = len(lines) - 2  # the two n = 11 rows end the file
     before = len(b"".join(lines[:head]))
     for torn in (b"", b"13,2,ir", b'{"n": 13'):
-        restart, offset, kept = resume_point(io.BytesIO(data + torn), fmt)
+        restart, offset, kept = resume_point(io.BytesIO(data + torn))
         assert (restart, offset) == (11, before)
         assert [record_key(r) for r in kept] == [record_key(r) for r in records[:2]]
     # one complete row of the last column, then a torn line
-    restart, offset, kept = resume_point(io.BytesIO(b"".join(lines[:head + 1]) + b"1"), fmt)
+    restart, offset, kept = resume_point(io.BytesIO(b"".join(lines[:head + 1]) + b"1"))
     assert (restart, offset, len(kept)) == (11, before, 2)
-    assert resume_point(io.BytesIO(b"".join(lines[:-4]) + lines[-4][:3]), fmt) == (None, 0, [])
+    assert resume_point(io.BytesIO(b"".join(lines[:-4]) + lines[-4][:3])) == (None, 0, [])
