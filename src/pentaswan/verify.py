@@ -2,7 +2,7 @@
 
 Each suite sweeps a parameter range and compares two independently computed
 answers (closed-form predicate vs. actual factorization structure, or
-closed-form discriminant vs. exact resultant).  A clean run returns zero
+closed-form discriminant vs. resultant routes).  A clean run returns zero
 failures; any failure would be a genuine finding, since the closed forms
 are supposed to be theorems.
 
@@ -135,21 +135,21 @@ def _disc_column(n: int) -> tuple[int, list[str]]:
         shape = PentShape(n, s)
         F = zpoly.lift(gf2poly.pent_poly(shape))
         closed = swan.pent_discriminant_closed_form(shape)
-        exact = zpoly.discriminant_mod8(F)
+        residue = zpoly.discriminant_mod8(F)
         classical = zpoly.discriminant(F) % 8
-        if not closed == exact == classical:
+        if not closed == residue == classical:
             failures.append(
-                f"(n={n}, s={s}): closed {closed}, resultant {exact}, "
+                f"(n={n}, s={s}): closed {closed}, resultant {residue}, "
                 f"derivative {classical}"
             )
     return len(_even_s_values(n)), failures
 
 
 def discriminant_agreement(n_max: int = 60, jobs: int | None = 1) -> CheckResult:
-    """Closed-form discriminant residue vs. two exact resultant routes, for
-    odd n <= n_max, even s: ``discriminant_mod8``, which for these lifts is
-    Swan's reduction of Res(F, n*F - X*F') to a cubic, and the classical
-    Res(F, F') of degree n."""
+    """Closed-form discriminant residue vs. two resultant routes, for odd
+    n <= n_max, even s: ``discriminant_mod8``, which for these lifts is
+    Swan's reduction of Res(F, n*F - X*F') to a cubic, taken mod 8, and the
+    classical Res(F, F') of degree n, computed exactly."""
     result = CheckResult("discriminant mod 8: closed form vs exact resultant")
     return _sweep(result, _disc_column, range(7, n_max + 1, 2), jobs)
 

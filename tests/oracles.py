@@ -361,6 +361,51 @@ def brown_traub_resultant(a: list[int], b: list[int]) -> int:
     return sign * t * res
 
 
+def swan_resultant(n: int, s: int) -> int:
+    """Res(F, n*F - X*F') for the lift F = X^n + X^(n-s) + X^(n-2s) +
+    X^(n-3s) + 1 with n > 3s, as a full integer, by Swan's reduction to a
+    cubic (derived in ``zpoly._swan_residue``): Res(F, H) = Res(R, E)^g with
+    g = gcd(n, s) and Res(R, E) = Res(T, W) / n^(2n/g).  Res(T, W) comes
+    exactly from :func:`brown_traub_resultant`, and the division is checked.
+    This is the exact route that the library's residue mod 2^(3 + v*2n/g)
+    replaced, with its own copies of the cubic helpers."""
+
+    def cubic_mul(x, y, t):  # x * y in Z[theta]/(T), t = (t0, t1, t2)
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        t0, t1, t2 = t
+        c0, c1, c2 = x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x1 * y1 + x2 * y0
+        c3, c4 = x1 * y2 + x2 * y1, x2 * y2
+        c3 -= c4 * t2
+        c2 -= c4 * t1
+        c1 -= c4 * t0
+        return c0 - c3 * t0, c1 - c3 * t1, c2 - c3 * t2
+
+    def cubic_pow(x, e, t):
+        out = (1, 0, 0)
+        for bit in bin(e)[2:]:
+            out = cubic_mul(out, out, t)
+            if bit == "1":
+                out = cubic_mul(out, x, t)
+        return out
+
+    g, m = gcd(n, s), n - 3 * s
+    k = s // g
+    t = (n * n * m, n * (n - 2 * s), n - s)
+    theta_m = cubic_pow((0, 1, 0), m // g, t)
+    w = cubic_mul(theta_m, cubic_pow((3 * s * n * n, 2 * s * n, s), k, t), t)
+    sigma = 1 if k & 1 else -1
+    W = [n ** (n // g) + sigma * w[0], sigma * w[1], sigma * w[2]]
+    while W and W[-1] == 0:
+        W.pop()
+    if not W:  # W vanishes at every root of T: F has a repeated root
+        return 0
+    q, r = divmod(brown_traub_resultant(list(t) + [1], W), n ** (2 * n // g))
+    if r:
+        raise AssertionError(f"n^(2n/g) does not divide Res(T, W) at (n={n}, s={s})")
+    return q**g
+
+
 def companion_power_traces(coeffs: list[int], m_max: int) -> list[int]:
     """Traces of C^m for m = 0..m_max, C the companion matrix of the monic
     polynomial with dense low-to-high coefficients ``coeffs``.  The trace

@@ -398,13 +398,13 @@ def test_discriminant_mod8_examples():
 def swan_calls(monkeypatch):
     """Records (n, s) of every call discriminant_mod8 makes to Swan's reduction."""
     calls = []
-    reduce = zpoly._swan_resultant
+    reduce = zpoly._swan_residue
 
     def recording(n, s):
         calls.append((n, s))
         return reduce(n, s)
 
-    monkeypatch.setattr(zpoly, "_swan_resultant", recording)
+    monkeypatch.setattr(zpoly, "_swan_residue", recording)
     return calls
 
 
@@ -442,8 +442,33 @@ def test_swan_reduction_equals_the_resultant(ducos_steps):
     )
     for n, s in shapes:
         F = pent_lift(n, s)
-        assert zpoly._swan_resultant(n, s) == resultant(F, h_poly(F)), (n, s)
+        assert oracles.swan_resultant(n, s) == resultant(F, h_poly(F)), (n, s)
     assert gap_steps(ducos_steps) > 1000
+
+
+def test_swan_residue_matches_the_exact_reduction():
+    # zero tolerance: the residue mod 2^(3 + v*2n/g) against the oracle's
+    # full integers mod 8, on every lift with 7 <= n < 200, either parity of
+    # n and of s, then a seeded handful at n = 1001 and 2999 and even n with
+    # a large 2-adic valuation v
+    shapes = [(n, s) for n in range(7, 200) for s in range(1, (n - 1) // 3 + 1)]
+    assert len(shapes) == 6498
+    rng = random.Random(23)
+    shapes += [(n, rng.randrange(1, (n - 1) // 3 + 1)) for n in (1001, 1001, 2999, 2999)]
+    shapes += [(256, 3), (2992, 3), (2992, 997)]
+    for n, s in shapes:
+        assert zpoly._swan_residue(n, s) == oracles.swan_resultant(n, s) % 8, (n, s)
+
+
+def test_the_lift_never_calls_the_resultant(monkeypatch):
+    shapes = [(7, 2), (11, 3), (40, 7), (64, 5), (199, 6), (200, 9)]
+    expected = [discriminant(pent_lift(n, s)) % 8 for n, s in shapes]
+
+    def refuse(A, B):
+        raise AssertionError("the lift's route called resultant")
+
+    monkeypatch.setattr(zpoly, "resultant", refuse)
+    assert [discriminant_mod8(pent_lift(n, s)) for n, s in shapes] == expected
 
 
 def test_h_product_is_degree_mod8():
