@@ -3,9 +3,9 @@
 The parity bridge runs through D(F) mod 8, where F is the 0/1 integer lift.
 We compute it (a) by the closed form in n mod 8, (b) as the product of
 H = n*F - X*F' over the roots of F, which ``discriminant_mod8`` gets by
-Swan's reduction to a cubic, taken mod 2^(3 + v*2n/gcd(n, s)) for
-n = 2^v * u, u odd (mod 8 here, as n is odd), and (c) exactly as the
-classical resultant against F'.  All three must coincide -- Res(F, H) and
+Swan's reduction to a cubic, taken in Z/8 (the forward cubic here, as n is
+odd; even n takes the reciprocal one), and (c) exactly as the classical
+resultant against F'.  All three must coincide -- Res(F, H) and
 Res(F, F') are equal as full integers, not just mod 8, whenever F(0) = 1.
 """
 

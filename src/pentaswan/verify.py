@@ -139,7 +139,7 @@ def _disc_column(n: int) -> tuple[int, list[str]]:
         classical = zpoly.discriminant(F) % 8
         if not closed == residue == classical:
             failures.append(
-                f"(n={n}, s={s}): closed {closed}, resultant {residue}, "
+                f"(n={n}, s={s}): closed {closed}, Swan cubic {residue}, "
                 f"derivative {classical}"
             )
     return len(_even_s_values(n)), failures

@@ -8,8 +8,8 @@ remainder sequence of Ducos's steps alone, with Lazard's powers (every
 division exact and checked), and the polynomial discriminant reduced mod 8
 only after it has been computed exactly in Z.  For the equally gapped lift
 X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s, Swan's technique
-shrinks that residue to the norm of a quadratic over a monic cubic, taken
-mod 2^(3 + v*2n/gcd(n, s)), not exactly; any other F takes Res(F, F').
+shrinks that residue to the norm of a quadratic over a monic cubic (its
+reciprocal for even n) in Z/8, not exactly; any other F takes Res(F, F').
 
 An :class:`IntPoly` is a sparse list of (exponent, coefficient) pairs; the
 polynomials of interest here have a handful of terms at desk-scale degrees,
@@ -293,9 +293,9 @@ def resultant(A: IntPoly, B: IntPoly) -> int:
 _Triple = tuple[int, int, int]
 
 
-def _cubic_mul(x: _Triple, y: _Triple, t: _Triple, mask: int) -> _Triple:
-    """x * y in (Z/M)[theta]/(T), M = mask + 1 a power of two, T = theta^3 +
-    t2*theta^2 + t1*theta + t0, t = (t0, t1, t2), on triples (c0, c1, c2)."""
+def _cubic_mul(x: _Triple, y: _Triple, t: _Triple) -> _Triple:
+    """x * y in (Z/8)[theta]/(T), T = theta^3 + t2*theta^2 + t1*theta + t0,
+    t = (t0, t1, t2), on triples (c0, c1, c2)."""
     x0, x1, x2 = x
     y0, y1, y2 = y
     t0, t1, t2 = t
@@ -304,51 +304,68 @@ def _cubic_mul(x: _Triple, y: _Triple, t: _Triple, mask: int) -> _Triple:
     c3 -= c4 * t2  # theta^4 = -theta * (t2*theta^2 + t1*theta + t0)
     c2 -= c4 * t1
     c1 -= c4 * t0
-    return (c0 - c3 * t0) & mask, (c1 - c3 * t1) & mask, (c2 - c3 * t2) & mask  # theta^3 too
+    return (c0 - c3 * t0) & 7, (c1 - c3 * t1) & 7, (c2 - c3 * t2) & 7  # theta^3 too
 
 
-def _cubic_pow(x: _Triple, e: int, t: _Triple, mask: int) -> _Triple:
-    """x^e in (Z/M)[theta]/(T), M = mask + 1, by square-and-multiply."""
+def _cubic_pow(x: _Triple, e: int, t: _Triple) -> _Triple:
+    """x^e in (Z/8)[theta]/(T), by square-and-multiply."""
     out = (1, 0, 0)
     for bit in bin(e)[2:]:
-        out = _cubic_mul(out, out, t, mask)
+        out = _cubic_mul(out, out, t)
         if bit == "1":
-            out = _cubic_mul(out, x, t, mask)
+            out = _cubic_mul(out, x, t)
     return out
 
 
 def _swan_residue(n: int, s: int) -> int:
     """Res(F, n*F - X*F') mod 8 for F = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1
-    with n > 3s, by Swan's reduction to a cubic.
+    with n > 3s, by Swan's reduction to a cubic, all of it in Z/8.
 
-    With P(Y) = Y^3 + Y^2 + Y + 1, m = n - 3s and g = gcd(n, s), F - 1 =
-    X^m * P(X^s) and H = n*F - X*F' = s*X^m * (X^(2s) + 2X^s + 3) + n, so
-    H * P(X^s) = R(X^s) (mod F) for R(Y) = nY^3 + (n-s)Y^2 + (n-2s)Y + m.
-    F is 1 on every root of P(X^s), so Res(F, P(X^s)) = +-1, and the
-    product of F over the s roots of X^s = gamma, for each root gamma of R,
-    closes in gamma.  Together, Res(F, H) = Res(R, E)^g with
-    E(Y) = 1 - (-1)^(s/g) * P(Y)^(s/g) * Y^(m/g).
+    Write P(Y) = Y^3 + Y^2 + Y + 1, m = n - 3s, g = gcd(n, s), k = s/g and
+    sigma = -(-1)^k.  F - 1 = X^m * P(X^s) and H = n*F - X*F' = s*X^m *
+    (X^(2s) + 2X^s + 3) + n, so H * P(X^s) = R(X^s) (mod F) for R(Y) =
+    nY^3 + (n-s)Y^2 + (n-2s)Y + m.  F is 1 on every root of P(X^s), so
+    Res(F, P(X^s)) = +-1, and the product of F over the s roots of X^s =
+    gamma, for each root gamma of R, closes in gamma: Res(F, H) = Res(R, E)^g
+    with E(Y) = 1 - (-1)^k * P(Y)^k * Y^(m/g).  The norm of W below, the
+    determinant of multiplication by W, is taken in Z/8, where the odd
+    square n^(2n/g) or m^(2n/g) is 1.
 
-    theta = n*gamma is a root of the monic T(Z) = Z^3 + (n-s)Z^2 +
-    n(n-2s)Z + n^2*m, and Res(T, W) = n^e * Res(R, E), e = 2n/g, for
-    W = n^(n/g) + sigma * theta^(m/g) * (theta^3 + n*theta^2 + n^2*theta +
-    n^3)^(s/g) in Z[theta]/(T), sigma = -(-1)^(s/g); the cubic factor is
-    s * (theta^2 + 2n*theta + 3n^2) mod T.  Res(T, W), the norm of W, is the
-    determinant of multiplication by W, so all of it runs mod M = 2^(3 + v*e),
-    n = 2^v * u, u odd: (Res(T, W) mod M) / 2^(v*e) = u^e * Res(R, E) (mod 8).
-    u^e = 1 (mod 8) as e is even.
+    Odd n: theta = n*gamma is a root of the monic T(Z) = Z^3 + (n-s)Z^2 +
+    n(n-2s)Z + n^2*m, and Res(T, W) = n^(2n/g) * Res(R, E) for W = n^(n/g) +
+    sigma * theta^(m/g) * (s*(theta^2 + 2n*theta + 3n^2))^k in Z[theta]/(T),
+    the cubic factor being n^3 * P(theta/n) mod T.
+
+    Even n, odd s, so m odd: R*(Y) = Y^3 * R(1/Y) = mY^3 + (n-2s)Y^2 +
+    (n-s)Y + n and, P being palindromic, E*(Y) = Y^(n/g) * E(1/Y) =
+    Y^(n/g) - (-1)^k * P(Y)^k.  R(0) = m and E(0) = 1 are nonzero, so
+    Res(R*, E*) = (-1)^(3n/g) * Res(R, E), a sign that is (-1)^n = 1 once
+    raised to g.  theta = m*gamma, for the roots gamma of R*, is a root of
+    the monic T*(Z) = Z^3 + (n-2s)Z^2 + m(n-s)Z + m^2*n, and Res(T*, W*) =
+    m^(2n/g) * Res(R*, E*) for W* = theta^(n/g) + sigma * m^(m/g) *
+    (-s*(theta^2 + 2m*theta + 3m^2))^k in Z[theta]/(T*).
+
+    n and s both even: F = G(X^2), disc(G(X^2)) = (-4)^(n/2) * G(0) *
+    disc(G)^2 and n >= 8, so 8 divides D = +-Res(F, H): the residue is 0.
     """
+    if not (n | s) & 1:
+        return 0
     g, m = gcd(n, s), n - 3 * s
-    k, shift = s // g, ((n & -n).bit_length() - 1) * 2 * n // g  # shift = v * e
-    mask, sigma = (8 << shift) - 1, 1 if k & 1 else -1  # M - 1 for M = 2^(3 + v*e)
-    t = (n * n * m & mask, n * (n - 2 * s) & mask, (n - s) & mask)
-    w = _cubic_pow((3 * s * n * n, 2 * s * n, s), k, t, mask)
-    w = _cubic_mul(_cubic_pow((0, 1, 0), m // g, t, mask), w, t, mask)
-    a0, a1, a2 = a = (pow(n, n // g, mask + 1) + sigma * w[0], sigma * w[1], sigma * w[2])
-    b0, b1, b2 = b = _cubic_mul(a, (0, 1, 0), t, mask)  # theta * W
-    c0, c1, c2 = _cubic_mul(b, (0, 1, 0), t, mask)  # theta^2 * W
+    k, sigma = s // g, 1 if s // g & 1 else -1
+    if n & 1:  # theta = n*gamma over the roots gamma of R
+        lead, t2, t1, t0, c, e = n, n - s, n - 2 * s, m, s, m // g
+    else:  # theta = m*gamma over the roots gamma of R*
+        lead, t2, t1, t0, c, e = m, n - 2 * s, n - s, n, -s, n // g
+    t = (lead * lead * t0 & 7, lead * t1 & 7, t2 & 7)
+    cubic = _cubic_pow((3 * c * lead * lead & 7, 2 * c * lead & 7, c & 7), k, t)
+    scalar, power = (pow(lead, lead // g, 8), 0, 0), _cubic_pow((0, 1, 0), e, t)
+    head, tail = (scalar, power) if n & 1 else (power, scalar)  # W = head + sigma*tail*cubic
+    w = _cubic_mul(tail, cubic, t)
+    a0, a1, a2 = a = tuple(x + sigma * y for x, y in zip(head, w))
+    b0, b1, b2 = b = _cubic_mul(a, (0, 1, 0), t)  # theta * W
+    c0, c1, c2 = _cubic_mul(b, (0, 1, 0), t)  # theta^2 * W
     norm = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
-    return pow((norm & mask) >> shift, g, 8)
+    return pow(norm, g, 8)
 
 
 def _disc_sign(n: int) -> int:
@@ -370,12 +387,12 @@ def discriminant_mod8(F: IntPoly) -> int:
     over the roots, Res(F, H), equal Res(F, F'), so the discriminant is
     (-1)^(n(n-1)/2) * Res(F, H).  For F exactly X^n + X^(n-s) + X^(n-2s) +
     X^(n-3s) + 1, n > 3s, Swan's reduction to a cubic (:func:`_swan_residue`)
-    gives Res(F, H) mod 8, computed mod 2^(3 + v*2n/gcd(n, s)) for n = 2^v * u,
-    u odd; a repeated root gives 0.  The cost grows with v (one core of a
-    2-vCPU Xeon, CPython 3.11): 0.03 ms at n = 2999, 3 ms at (2998, 5), 18 ms
-    at (2992, 3) and 1.1 ms at (256, 3), where the exact resultant took 35
-    and 0.4 ms.  Any other F, a near miss included, takes
-    ``discriminant(F) % 8``, exact until the end, as Z/8 is not a domain.
+    gives Res(F, H) mod 8 in Z/8; a repeated root gives 0.  On one core of a
+    2-vCPU Xeon (CPython 3.11) that takes 0.015-0.024 ms at n = 2999 and
+    0.022, 0.024 and 0.018 ms at (2998, 5), (2992, 3) and (256, 3), where
+    the exact Res(F, H) takes 0.3-1.7 s, 0.41 s, 0.22 s and 2.2 ms.  Any
+    other F, a near miss included, takes ``discriminant(F) % 8``, exact
+    until the end, as Z/8 is not a domain.
     """
     if F.constant_term() != 1:
         raise ValueError("requires constant term 1")

@@ -367,8 +367,10 @@ def swan_resultant(n: int, s: int) -> int:
     cubic (derived in ``zpoly._swan_residue``): Res(F, H) = Res(R, E)^g with
     g = gcd(n, s) and Res(R, E) = Res(T, W) / n^(2n/g).  Res(T, W) comes
     exactly from :func:`brown_traub_resultant`, and the division is checked.
-    This is the exact route that the library's residue mod 2^(3 + v*2n/g)
-    replaced, with its own copies of the cubic helpers."""
+    This is the forward cubic of the library's residue in Z/8, taken
+    exactly at either parity of n, with its own copies of the cubic helpers;
+    it shares neither the reciprocal cubic for even n nor the reduction
+    mod 8."""
 
     def cubic_mul(x, y, t):  # x * y in Z[theta]/(T), t = (t0, t1, t2)
         x0, x1, x2 = x

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from pentaswan import _pool, gf2poly, verify
+from pentaswan import _pool, gf2poly, verify, zpoly
 from pentaswan.gf2poly import PentShape
 
 SMALL = dict(parity_max=40, thm1_max=40, disc_max=20, trinomial_max=30,
@@ -89,3 +89,10 @@ def test_a_non_squarefree_parity_shape_is_a_failure(monkeypatch):
     checked, failures = verify._parity_column(13)
     assert checked == len(verify._even_s_values(13)) == len(failures) == 2
     assert "not squarefree" in failures[0]
+
+
+def test_a_disc_failure_names_each_route(monkeypatch):
+    monkeypatch.setattr(zpoly, "discriminant_mod8", lambda F: (zpoly.discriminant(F) + 4) % 8)
+    checked, failures = verify._disc_column(13)
+    assert checked == len(failures) == 2
+    assert failures[0] == "(n=13, s=2): closed 5, Swan cubic 1, derivative 5"

@@ -447,17 +447,30 @@ def test_swan_reduction_equals_the_resultant(ducos_steps):
 
 
 def test_swan_residue_matches_the_exact_reduction():
-    # zero tolerance: the residue mod 2^(3 + v*2n/g) against the oracle's
-    # full integers mod 8, on every lift with 7 <= n < 200, either parity of
-    # n and of s, then a seeded handful at n = 1001 and 2999 and even n with
-    # a large 2-adic valuation v
+    # zero tolerance: the residue, taken in Z/8 through the forward cubic
+    # for odd n and the reciprocal one for even n, against the oracle's
+    # full integers mod 8, on every lift with 7 <= n < 200, either parity
+    # of n and of s, then a seeded handful at n = 1001 and 2999 and even n
+    # with a large 2-adic valuation
     shapes = [(n, s) for n in range(7, 200) for s in range(1, (n - 1) // 3 + 1)]
     assert len(shapes) == 6498
     rng = random.Random(23)
     shapes += [(n, rng.randrange(1, (n - 1) // 3 + 1)) for n in (1001, 1001, 2999, 2999)]
-    shapes += [(256, 3), (2992, 3), (2992, 997)]
+    shapes += [(256, 3), (2992, 3), (2992, 997), (2048, 5), (2048, 681), (1536, 7), (2998, 5)]
     for n, s in shapes:
         assert zpoly._swan_residue(n, s) == oracles.swan_resultant(n, s) % 8, (n, s)
+
+
+def test_even_n_residue_matches_the_exact_discriminant():
+    # shares no code with Swan's reduction: the exact Res(F, F'), on every
+    # lift with n and s both even and n <= 40 (where 2^n divides D), two
+    # larger both-even lifts and one even-n, odd-s lift at n = 2992
+    both_even = [(n, s) for n in range(8, 41, 2) for s in range(2, (n - 1) // 3 + 1, 2)]
+    both_even += [(1000, 10), (2000, 400)]
+    for n, s in both_even + [(2992, 3)]:
+        F = pent_lift(n, s)
+        assert discriminant_mod8(F) == discriminant(F) % 8, (n, s)
+    assert {discriminant_mod8(pent_lift(n, s)) for n, s in both_even} == {0}
 
 
 def test_the_lift_never_calls_the_resultant(monkeypatch):
