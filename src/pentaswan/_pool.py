@@ -7,16 +7,18 @@ Each ``pool_map`` call starts and shuts down its own pool, except inside a
 ``shared_pool(jobs)`` block: there every call at that worker count runs on
 the block's one pool, so a caller with several short maps pays for the
 workers once.  The block's pool sits in a context variable, which other
-threads do not see.
+threads do not see.  Pools fork after the prefilter's tables are built.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Callable, Iterable, Iterator
+
+from . import gf2poly
 
 # (workers, pool) of the innermost shared_pool block in this thread, if any
 _shared: ContextVar[tuple[int, ProcessPoolExecutor] | None] = ContextVar("_shared", default=None)
@@ -27,6 +29,11 @@ def workers(jobs: int | None) -> int:
     return (os.cpu_count() or 1) if jobs is None else jobs
 
 
+def _executor(jobs: int) -> ProcessPoolExecutor:
+    gf2poly._root_tables()  # built before the fork, so that no worker builds them
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 @contextmanager
 def shared_pool(jobs: int | None) -> Iterator[None]:
     """Run every ``pool_map`` at ``jobs`` workers in this block on one pool,
@@ -35,7 +42,7 @@ def shared_pool(jobs: int | None) -> Iterator[None]:
     if jobs <= 1:
         yield
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with _executor(jobs) as pool:
         token = _shared.set((jobs, pool))
         try:
             yield
@@ -51,8 +58,5 @@ def pool_map(fn: Callable, items: Iterable, jobs: int | None, chunksize: int = 1
         yield from map(fn, items)
         return
     shared = _shared.get()
-    if shared is not None and shared[0] == jobs:
-        yield from shared[1].map(fn, items, chunksize=chunksize)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with nullcontext(shared[1]) if shared and shared[0] == jobs else _executor(jobs) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)

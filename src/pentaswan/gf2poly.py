@@ -10,17 +10,13 @@ multiplication/remainder reduce to shifts and XORs.
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
 integers and carry the performance-sensitive inner loops.
-``_smallest_factor_degree_le`` is the small-factor prefilter.  On an
-equally gapped pentanomial X^(n-3s) (1 + X^s)^3 + 1 it is a root test: one
-Zech-logarithm lookup per irreducible of each degree d <= PREFILTER_DEPTH
-= 13, in tables of GF(2^d) built on first use.  Any other polynomial is
-not tested and goes straight to the survivor decision.  Factor counts
-take no prefilter: one loop divides f by c = gcd(f, f'), counts the
-squarefree quotient by Berlekamp's rank of Q - I, with Q the matrix of
-squaring modulo it, and goes on with the square root of c at twice the
-weight.  The rank's pivots sit in a list indexed by bit length, and the
-first half of the rows, X^(2i) + X^i with distinct tops, is written in
-without elimination.
+``_smallest_factor_degree_le`` is the small-factor prefilter: on an
+equally gapped pentanomial X^(n-3s) (1 + X^s)^3 + 1, a root test in
+GF(2^d), d <= PREFILTER_DEPTH = 13, one table lookup per degree; any other
+polynomial goes straight to the survivor decision.  Factor counts take no
+prefilter: one loop divides f by c = gcd(f, f'), counts the squarefree
+quotient by Berlekamp's rank of Q - I, with Q the matrix of squaring
+modulo it, and goes on with the square root of c at twice the weight.
 ``_survivor_is_irreducible`` decides any polynomial of degree >= 1, and
 so any that the prefilter leaves: irreducible iff gcd(p, p') = 1 and that
 rank counts one factor.  ``is_irreducible`` runs the two in turn; the
@@ -32,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd as _int_gcd
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -196,76 +193,75 @@ def _count_factors_squarefree(g: int) -> int:
 PREFILTER_DEPTH = 13
 
 # a primitive polynomial of each degree d = 2..PREFILTER_DEPTH, by its
-# exponents: X has order exactly 2^d - 1 modulo it, so gamma = X generates
-# GF(2^d)*
-_PRIMITIVE = (
-    (2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
-    (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
-    (13, 4, 3, 1, 0),
-)
+# exponents: X has order exactly 2^d - 1 modulo it and generates GF(2^d)*
+_PRIMITIVE = ((2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
+              (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
+              (13, 4, 3, 1, 0))
 
 
 @cache
-def _root_tables() -> tuple[tuple[list[int], list[int]], ...]:
-    """(z3, reps) for each degree d = 2..PREFILTER_DEPTH, built on first use.
-
-    With L = 2^d - 1 and gamma primitive, z3[k] = 3 Z(k) mod L, where the
-    Zech logarithm Z(k) is the exponent of 1 + gamma^k, for 0 < k < L;
-    z3[0] = L matches no residue, as 1 + gamma^0 = 0.  ``reps`` holds the
-    least element t of each cyclotomic coset {t 2^j mod L} of size d: the
-    gamma^t are one root of each irreducible of degree d."""
+def _root_tables() -> tuple[tuple[int, dict[tuple[int, int], bytearray]], ...]:
+    """(L, marks) for each degree d = 2..PREFILTER_DEPTH, L = 2^d - 1, built
+    on first use or by ``_pool`` before it forks.  z3[k] = 3 Z(k) mod L,
+    with Z the Zech logarithm to the base gamma = X.  For h | L, M = L/h
+    and w = M g, g | h, marks[h, w][y] = 1 iff some m in [1, M) has
+    z3[m h] = m y (mod w): with e = gcd(m, w), iff e | z3[m h] and y =
+    (z3[m h]/e) (m/e)^-1 (mod w/e), e residues in one slice.  m and 2m mark
+    the same y, as z3[2k] = 2 z3[k] and w is odd: one m per orbit will do."""
     tables = []
     for d, exponents in enumerate(_PRIMITIVE, 2):
-        m, L = sum(1 << e for e in exponents), (1 << d) - 1
-        power, log = [0] * L, [0] * (L + 1)
-        x = 1
-        for i in range(L):
-            power[i], log[x] = x, i
-            x <<= 1
-            if x >> d:
-                x ^= m
-        z3 = [L] + [3 * log[power[k] ^ 1] % L for k in range(1, L)]
-        seen, reps = bytearray(L), []
-        for t in range(1, L):
-            u, size = t, 0
-            while not seen[u]:
-                seen[u] = 1
-                u, size = 2 * u % L, size + 1
-            if size == d:
-                reps.append(t)
-        tables.append((z3, reps))
+        poly, L = sum(1 << e for e in exponents), (1 << d) - 1
+        power, log = [1] * L, [0] * (L + 1)
+        for i in range(1, L):
+            x = power[i - 1] << 1
+            power[i] = x ^ poly if x >> d else x
+            log[power[i]] = i
+        z3 = [L] + [3 * log[x ^ 1] % L for x in power[1:]]
+        marks = {}
+        for h in (h for h in range(1, L + 1) if L % h == 0):
+            M, seen, reps = L // h, bytearray(L // h), []
+            for r in range(1, M):
+                if not seen[r]:
+                    reps.append(r)
+                    for j in range(d):
+                        seen[(r << j) % M] = 1
+            for w in (M * g for g in range(1, h + 1) if h % g == 0):
+                row = marks[h, w] = bytearray(w)
+                for m in reps:
+                    z, e = z3[m * h], _int_gcd(m, w)
+                    if z % e == 0:
+                        step = w // e
+                        row[z // e * pow(m // e, -1, step) % step::step] = b"\1" * e
+        tables.append((L, marks))
     return tuple(tables)
 
 
 def _root_degree(n: int, s: int) -> int | None:
     """The smallest degree d <= min(PREFILTER_DEPTH, n) of an irreducible
     factor of p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or
-    None: the first d at which p has a root in GF(2^d).
-
-    p(beta) = beta^n (1 + beta^(-s))^3 + 1, as X^3 + X^2 + X + 1 = (1 + X)^3
-    over GF(2), so beta = gamma^t is a root iff t s != 0 and 3 Z(-t s) =
-    -t n (mod L).  One root of each irreducible of degree d is tested.
-    Degree 1 is never a hit: p(0) = p(1) = 1."""
-    tables = _root_tables()
-    for d in range(2, min(PREFILTER_DEPTH, n) + 1):
-        z3, reps = tables[d - 2]
-        L = len(z3)
+    None: the first d at which p has a root in GF(2^d).  p(beta) =
+    beta^n (1 + beta^(-s))^3 + 1, as 1 + X + X^2 + X^3 = (1 + X)^3, so with
+    a = -s and b = -n mod L, beta = gamma^t is a root iff z3[t a] = t b
+    (mod L); z3[0] = L matches nothing.  All t in Z/L are tested: a hit in
+    a coset smaller than d is a root in a subfield GF(2^e), e | d,
+    2 <= e < d (p(0) = p(1) = 1), found at e already.  The hits depend only
+    on the group <(a, b)> in (Z/L)^2, generated by (h, y) and (0, w): h =
+    gcd(a, L), M = L/h, w = M gcd(b, h), y = u b mod w, u = (a/h)^-1 mod M
+    (0 for M = 1).  So one lookup decides: marks[h, w][y]."""
+    for d, (L, marks) in enumerate(_root_tables()[:min(PREFILTER_DEPTH, n) - 1], 2):
         a, b = -s % L, -n % L
-        for t in reps:
-            if z3[t * a % L] == t * b % L:
-                return d
+        h = _int_gcd(a, L)
+        w = L // h * _int_gcd(b, h)
+        if marks[h, w][pow(a // h, -1, L // h) * b % w]:
+            return d
     return None
 
 
 def _smallest_factor_degree_le(p: int) -> int | None:
-    """The small-factor prefilter: for an equally gapped pentanomial
-    X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, read off p's bits, the root
-    test of :func:`_root_degree`, which gives the smallest degree
-    d <= PREFILTER_DEPTH of an irreducible factor of p, or None; n for an
-    irreducible p of degree n <= PREFILTER_DEPTH.  Any other p is not
-    tested and gives None, so it goes to the survivor decision.  The
-    benchmark's tracer wraps this name as its prefilter boundary.
-    """
+    """The small-factor prefilter: for an equally gapped pentanomial,
+    read off p's bits, :func:`_root_degree`; None for any other p, which
+    goes to the survivor decision.  The benchmark's tracer wraps this name
+    as its prefilter boundary."""
     if p & 1:
         n = _degree(p)
         s = n - _degree(p ^ (1 << n))

@@ -8,6 +8,7 @@ so they share no code path with the algorithms under test.
 from __future__ import annotations
 
 import csv
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -246,6 +247,68 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
             if g != 1:
                 return k if k <= depth else None
     return n if rabin and _rem(h ^ 2, m) == 0 else None
+
+
+# a primitive polynomial of each degree d = 2..13, by its exponents
+_PRIMITIVE = (
+    (2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
+    (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
+    (13, 4, 3, 1, 0),
+)
+
+
+@cache
+def coset_root_tables() -> tuple[tuple[list[int], list[int]], ...]:
+    """(z3, reps) for each degree d = 2..13, built on first use.
+
+    With L = 2^d - 1 and gamma primitive, z3[k] = 3 Z(k) mod L, where the
+    Zech logarithm Z(k) is the exponent of 1 + gamma^k, for 0 < k < L;
+    z3[0] = L matches no residue, as 1 + gamma^0 = 0.  ``reps`` holds the
+    least element t of each cyclotomic coset {t 2^j mod L} of size d: the
+    gamma^t are one root of each irreducible of degree d."""
+    tables = []
+    for d, exponents in enumerate(_PRIMITIVE, 2):
+        m, L = sum(1 << e for e in exponents), (1 << d) - 1
+        power, log = [0] * L, [0] * (L + 1)
+        x = 1
+        for i in range(L):
+            power[i], log[x] = x, i
+            x <<= 1
+            if x >> d:
+                x ^= m
+        z3 = [L] + [3 * log[power[k] ^ 1] % L for k in range(1, L)]
+        seen, reps = bytearray(L), []
+        for t in range(1, L):
+            u, size = t, 0
+            while not seen[u]:
+                seen[u] = 1
+                u, size = 2 * u % L, size + 1
+            if size == d:
+                reps.append(t)
+        tables.append((z3, reps))
+    return tuple(tables)
+
+
+def coset_root_degree(n: int, s: int) -> int | None:
+    """The smallest degree d <= min(13, n) of an irreducible factor of
+    p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or None: the
+    first d at which p has a root in GF(2^d).
+
+    This is the per-irreducible loop that the prefilter's one lookup per
+    degree replaced, kept as it was.  p(beta) = beta^n (1 + beta^(-s))^3
+    + 1, as X^3 + X^2 + X + 1 = (1 + X)^3 over GF(2), so beta = gamma^t is
+    a root iff t s != 0 and 3 Z(-t s) = -t n (mod L).  One root of each
+    irreducible of degree d is tested.  Degree 1 is never a hit:
+    p(0) = p(1) = 1."""
+    tables = coset_root_tables()
+    for d in range(2, min(13, n) + 1):
+        z3, reps = tables[d - 2]
+        L = len(z3)
+        a, b = -s % L, -n % L
+        for t in reps:
+            if z3[t * a % L] == t * b % L:
+                return d
+    return None
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaswan import gf2poly, search
+from pentaswan import _pool, gf2poly, search
 from pentaswan.gf2poly import (
     BitPoly,
     ONE,
@@ -551,14 +552,15 @@ def test_root_test_matches_the_chain_on_every_shape_below_300(reference_pool):
 def test_root_test_matches_the_chain_on_production_columns(reference_pool, n):
     # at n = 3000 the plain chain takes about 1 ms a shape; the oracle's
     # chain, with its folded gcds on 2^k - 1 bits, is the same slow path in
-    # a quarter of the time
+    # a quarter of the time.  The second reference is the loop over one
+    # root per irreducible that the lookup per degree replaced.
     polys = [pent_bits(n, s) for s in range(1, (n - 1) // 3 + 1)]
     chain = reference_pool.map(
         partial(oracles.rabin_smallest_factor_degree, depth=13, rabin=False), polys, chunksize=64)
     survivors = 0
     for s, (p, expected) in enumerate(zip(polys, chain), 1):
         d = gf2poly._smallest_factor_degree_le(p)
-        assert d == expected, (n, s)
+        assert d == expected == oracles.coset_root_degree(n, s), (n, s)
         survivors += d is None
     assert survivors > 0
 
@@ -603,6 +605,10 @@ def test_only_equally_gapped_pentanomials_take_the_root_test(root_calls):
     assert root_calls == [(20, 5)]
 
 
+def divisors(L):
+    return [h for h in range(1, L + 1) if L % h == 0]
+
+
 def test_root_tables_are_primitive_and_complete():
     tables = gf2poly._root_tables()
     assert len(tables) == len(gf2poly._PRIMITIVE) == gf2poly.PREFILTER_DEPTH - 1
@@ -613,13 +619,57 @@ def test_root_tables_are_primitive_and_complete():
         for i in range(1, L + 1):
             x = oracles.poly_divmod_bits(x << 1, m)[1]
             assert (x == 1) == (i == L), (d, i)
-        z3, reps = tables[d - 2]
-        assert len(z3) == L and z3[0] == L
-        for t in reps:  # the least element of a coset of size d
-            coset = {(t << j) % L for j in range(d)}
-            assert len(coset) == d and min(coset) == t, (d, t)
-    assert [len(reps) for _, reps in tables] == [
-        1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630]
+        assert tables[d - 2][0] == L
+        # one row of length w = (L/h) g for each h | L and g | h; where
+        # h = L, only t = 0 has t a = 0, so no row there marks anything
+        marks = tables[d - 2][1]
+        assert sorted(marks) == sorted((h, L // h * g) for h in divisors(L) for g in divisors(h))
+        assert all(len(row) == w and set(row) <= {0, 1} for (h, w), row in marks.items())
+        assert not any(any(row) for (h, _), row in marks.items() if h == L)
+    assert [len(marks) for _, marks in tables] == [3, 3, 9, 3, 18, 3, 27, 9, 27, 9, 162, 3]
+    assert sum(len(row) for _, marks in tables for row in marks.values()) == 192236
+
+
+def zech3(d):
+    """3 Z(k) mod L for 0 < k < L and L at k = 0, by plain polynomial
+    remainders, with gamma = X modulo the table's primitive polynomial."""
+    m, L = sum(1 << e for e in gf2poly._PRIMITIVE[d - 2]), (1 << d) - 1
+    power = [1]
+    for _ in range(L - 1):
+        power.append(oracles.poly_divmod_bits(power[-1] << 1, m)[1])
+    log = {x: k for k, x in enumerate(power)}
+    return [L] + [3 * log[x ^ 1] % L for x in power[1:]]
+
+
+def test_root_table_lookup_matches_every_t_on_every_pair_up_to_degree_7():
+    # for every (a, b) in (Z/L)^2, the one lookup of _root_degree against
+    # "some t in [1, L) has z3[t a] = t b (mod L)"
+    for d in range(2, 8):
+        L, marks = gf2poly._root_tables()[d - 2]
+        z3 = zech3(d)
+        hits = 0
+        for a in range(L):
+            zs = [z3[t * a % L] for t in range(1, L)]
+            h = math.gcd(a, L)
+            for b in range(L):
+                w = L // h * math.gcd(b, h)
+                lookup = marks[h, w][pow(a // h, -1, L // h) * b % w]
+                brute = any(z == t * b % L for t, z in enumerate(zs, 1))
+                assert lookup == brute, (d, a, b)
+                hits += brute
+        assert 0 < hits < L * L, d
+
+
+def worker_table_count(_):
+    return gf2poly._root_tables.cache_info().currsize
+
+
+def test_pool_workers_inherit_the_root_tables():
+    # built in the parent before the fork, so no worker builds its own
+    gf2poly._root_tables.cache_clear()
+    assert list(_pool.pool_map(worker_table_count, range(4), 2)) == [1] * 4
+    with _pool.shared_pool(2):
+        assert list(_pool.pool_map(worker_table_count, range(4), 2)) == [1] * 4
 
 
 def test_importing_pentaswan_builds_no_root_table():

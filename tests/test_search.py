@@ -137,11 +137,16 @@ def test_survey_worker_count_invariance():
     # whole records bar elapsed_us, over many pool tasks
     for s_parity, prune in [("even", True), ("even", False), ("odd", True)]:
         shapes = list(enumerate_shapes(7, 120, s_parity, "all"))
-        seq, *pooled = [
-            [(record_key(r), r.factor_bound, r.message)
-             for r in survey(iter(shapes), prune=prune, jobs=jobs)]
-            for jobs in (1, 2, 3)
-        ]
+
+        def records(jobs):
+            return [(record_key(r), r.factor_bound, r.message)
+                    for r in survey(iter(shapes), prune=prune, jobs=jobs)]
+
+        gf2poly._root_tables.cache_clear()
+        pooled = [records(2), records(3)]
+        # the pools built the prefilter's tables here, before their workers forked
+        assert gf2poly._root_tables.cache_info().currsize == 1
+        seq = records(1)
         assert len(seq) == len(shapes) > 10 * _SHAPES_PER_TASK
         assert pooled == [seq, seq]
 
