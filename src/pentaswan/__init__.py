@@ -42,7 +42,6 @@ from .zpoly import (
     discriminant_mod8,
     h_poly,
     lift,
-    neg_power_sums,
     power_sums,
     resultant,
     second_power_sums,

@@ -7,7 +7,7 @@ Each ``pool_map`` call starts and shuts down its own pool, except inside a
 ``shared_pool(jobs)`` block: there every call at that worker count runs on
 the block's one pool, so a caller with several short maps pays for the
 workers once.  The block's pool sits in a context variable, which other
-threads do not see.  Pools fork after the prefilter's tables are built.
+threads do not see.  Pools fork after the rows of d <= 13 are built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def workers(jobs: int | None) -> int:
 
 
 def _executor(jobs: int) -> ProcessPoolExecutor:
-    gf2poly._root_tables()  # built before the fork, so that no worker builds them
+    gf2poly._build_root_rows()  # before the fork, so that no worker builds them
     return ProcessPoolExecutor(max_workers=jobs)
 
 

@@ -9,26 +9,21 @@ multiplication/remainder reduce to shifts and XORs.
 
 The public surface works with :class:`BitPoly`, a thin immutable wrapper
 around the bit integer.  The module-level underscore helpers operate on raw
-integers and carry the performance-sensitive inner loops.
-``_smallest_factor_degree_le`` is the small-factor prefilter: on an
-equally gapped pentanomial X^(n-3s) (1 + X^s)^3 + 1, a root test in
-GF(2^d), d <= PREFILTER_DEPTH = 13, one table lookup per degree; any other
-polynomial goes straight to the survivor decision.  Factor counts take no
-prefilter: one loop divides f by c = gcd(f, f'), counts the squarefree
-quotient by Berlekamp's rank of Q - I, with Q the matrix of squaring
-modulo it, and goes on with the square root of c at twice the weight.
-``_survivor_is_irreducible`` decides any polynomial of degree >= 1, and
-so any that the prefilter leaves: irreducible iff gcd(p, p') = 1 and that
-rank counts one factor.  ``is_irreducible`` runs the two in turn; the
-survey puts swan's decimation certificate between them.  A squaring, for
+integers and carry the performance-sensitive inner loops: the small-factor
+prefilter ``_smallest_factor_degree_le``, a root test in GF(2^d), d <=
+PREFILTER_DEPTH = 13, on equally gapped pentanomials only, which ``search``
+takes on to d = ROOT_DEPTH = 16 before the rank; the survivor decision
+``_survivor_is_irreducible``, gcd(p, p') plus Berlekamp's rank; and
+``factor_count``'s loop over gcd(f, f').  A squaring, for
 ``pow_frobenius``, is two ``bytes.translate`` table maps.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -191,68 +186,84 @@ def _count_factors_squarefree(g: int) -> int:
 
 
 PREFILTER_DEPTH = 13
+ROOT_DEPTH = 16  # the last degree of the root test that ``search`` runs past the prefilter
 
-# a primitive polynomial of each degree d = 2..PREFILTER_DEPTH, by its
+# a primitive polynomial of each degree d = 2..ROOT_DEPTH, by its
 # exponents: X has order exactly 2^d - 1 modulo it and generates GF(2^d)*
 _PRIMITIVE = ((2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
               (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
-              (13, 4, 3, 1, 0))
+              (13, 4, 3, 1, 0), (14, 5, 3, 1, 0), (15, 1, 0), (16, 5, 3, 2, 0))
 
 
 @cache
-def _root_tables() -> tuple[tuple[int, dict[tuple[int, int], bytearray]], ...]:
-    """(L, marks) for each degree d = 2..PREFILTER_DEPTH, L = 2^d - 1, built
-    on first use or by ``_pool`` before it forks.  z3[k] = 3 Z(k) mod L,
-    with Z the Zech logarithm to the base gamma = X.  For h | L, M = L/h
-    and w = M g, g | h, marks[h, w][y] = 1 iff some m in [1, M) has
-    z3[m h] = m y (mod w): with e = gcd(m, w), iff e | z3[m h] and y =
-    (z3[m h]/e) (m/e)^-1 (mod w/e), e residues in one slice.  m and 2m mark
-    the same y, as z3[2k] = 2 z3[k] and w is odd: one m per orbit will do."""
-    tables = []
-    for d, exponents in enumerate(_PRIMITIVE, 2):
-        poly, L = sum(1 << e for e in exponents), (1 << d) - 1
-        power, log = [1] * L, [0] * (L + 1)
-        for i in range(1, L):
-            x = power[i - 1] << 1
-            power[i] = x ^ poly if x >> d else x
-            log[power[i]] = i
-        z3 = [L] + [3 * log[x ^ 1] % L for x in power[1:]]
-        marks = {}
-        for h in (h for h in range(1, L + 1) if L % h == 0):
-            M, seen, reps = L // h, bytearray(L // h), []
-            for r in range(1, M):
-                if not seen[r]:
-                    reps.append(r)
-                    for j in range(d):
-                        seen[(r << j) % M] = 1
-            for w in (M * g for g in range(1, h + 1) if h % g == 0):
-                row = marks[h, w] = bytearray(w)
-                for m in reps:
-                    z, e = z3[m * h], _int_gcd(m, w)
-                    if z % e == 0:
-                        step = w // e
-                        row[z // e * pow(m // e, -1, step) % step::step] = b"\1" * e
-        tables.append((L, marks))
-    return tuple(tables)
+def _zech3(d: int) -> array:
+    """z3[k] = 3 Z(k) mod L, L = 2^d - 1, Z the Zech logarithm to the base
+    gamma = X, and z3[0] = L: built from and kept in arrays of 4-byte entries."""
+    poly, L = sum(1 << e for e in _PRIMITIVE[d - 2]), (1 << d) - 1
+    power, log = array("I", bytes(4 * L)), array("I", bytes(4 * (L + 1)))
+    x = 1
+    for i in range(L):
+        power[i], log[x] = x, i
+        x = x << 1 ^ poly if x >> d - 1 else x << 1
+    return array("I", [L]) + array("I", (3 * log[x ^ 1] % L for x in power[1:]))
 
 
-def _root_degree(n: int, s: int) -> int | None:
-    """The smallest degree d <= min(PREFILTER_DEPTH, n) of an irreducible
-    factor of p = X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1, n > 3s, or
-    None: the first d at which p has a root in GF(2^d).  p(beta) =
+@cache
+def _root_row(d: int, h: int, w: int) -> bytearray:
+    """The lookup row of degree d for h | L, M = L/h and w = M g, g | h,
+    built on first use, as all rows to d = 16 take seconds: row[y] = 1 iff
+    some m in [1, M) has z3[m h] = m y (mod w); with e = gcd(m, w), iff
+    e | z3[m h] and y = (z3[m h]/e) (m/e)^-1 (mod w/e), e residues in one slice."""
+    z3, row = _zech3(d), bytearray(w)
+    for m in _orbit_leaders(((1 << d) - 1) // h):
+        z, e = z3[m * h], _int_gcd(m, w)
+        if z % e == 0:
+            step = w // e
+            row[z // e * pow(m // e, -1, step) % step::step] = b"\1" * e
+    return row
+
+
+@cache
+def _orbit_leaders(M: int) -> list[int]:
+    """The least m in [1, M) of each orbit {m 2^j mod M}: 2m marks m's y, as z3[2k] = 2 z3[k]."""
+    seen, leaders = bytearray(M), []
+    for m in range(1, M):
+        if not seen[m]:
+            leaders.append(m)
+            while not seen[m]:
+                seen[m] = 1
+                m = 2 * m % M
+    return leaders
+
+
+def _build_root_rows() -> None:
+    """The 276 rows of degree d <= PREFILTER_DEPTH, which ``_pool`` builds before it forks."""
+    for d in range(2, PREFILTER_DEPTH + 1):
+        L = (1 << d) - 1
+        divisors = {f for i in range(1, isqrt(L) + 1) if L % i == 0 for f in (i, L // i)}
+        for h in divisors:
+            for g in (g for g in divisors if h % g == 0):
+                _root_row(d, h, L // h * g)
+
+
+def _root_degree(n: int, s: int, lo: int = 2, hi: int = PREFILTER_DEPTH) -> int | None:
+    """The smallest d in [lo, min(hi, n)] at which p = X^n + X^(n-s) +
+    X^(n-2s) + X^(n-3s) + 1, n > 3s, has a root in GF(2^d), or None; from
+    lo = 2, the smallest degree of an irreducible factor.  p(beta) =
     beta^n (1 + beta^(-s))^3 + 1, as 1 + X + X^2 + X^3 = (1 + X)^3, so with
     a = -s and b = -n mod L, beta = gamma^t is a root iff z3[t a] = t b
     (mod L); z3[0] = L matches nothing.  All t in Z/L are tested: a hit in
-    a coset smaller than d is a root in a subfield GF(2^e), e | d,
-    2 <= e < d (p(0) = p(1) = 1), found at e already.  The hits depend only
+    a coset smaller than d is a root in a subfield GF(2^e), e | d, e >= 2
+    (p(0) = p(1) = 1), found at e already if e >= lo.  The hits depend only
     on the group <(a, b)> in (Z/L)^2, generated by (h, y) and (0, w): h =
     gcd(a, L), M = L/h, w = M gcd(b, h), y = u b mod w, u = (a/h)^-1 mod M
-    (0 for M = 1).  So one lookup decides: marks[h, w][y]."""
-    for d, (L, marks) in enumerate(_root_tables()[:min(PREFILTER_DEPTH, n) - 1], 2):
+    (0 for M = 1).  So one lookup decides: _root_row(d, h, w)[y]."""
+    for d in range(lo, min(hi, n) + 1):
+        L = (1 << d) - 1
         a, b = -s % L, -n % L
         h = _int_gcd(a, L)
         w = L // h * _int_gcd(b, h)
-        if marks[h, w][pow(a // h, -1, L // h) * b % w]:
+        if _root_row(d, h, w)[pow(a // h, -1, L // h) * b % w]:
             return d
     return None
 

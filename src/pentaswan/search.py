@@ -4,9 +4,10 @@ The pipeline is: enumerate shapes in deterministic (n, s) order, classify
 each one, and aggregate statistics.  Classification runs the closed-form
 prune (Theorem 1), the square short-circuit, the small-factor prefilter
 (a root test over GF(2^d), d <= 13), then, for a prefilter survivor with
-even s, the decimation certificate (``swan.decimation_reducible``), and
-last the squarefree gcd plus Berlekamp's rank.  A survivor that the
-certificate or the rank calls reducible is a ``red_full`` row.
+even s, the decimation certificate (``swan.decimation_reducible``), at
+n >= 1000 the same root test at d = 14..16, and last the squarefree gcd
+plus Berlekamp's rank.  A survivor that the certificate, the deep root
+test or the rank calls reducible is a ``red_full`` row.
 Classification of distinct shapes is embarrassingly parallel: shapes go to
 a process pool in fixed-size chunks, and the output order comes from the
 ordered map, so it never depends on the worker count.
@@ -68,6 +69,8 @@ ARBITRARY_POLY_BASELINE = 0.0013
 # [7, 501) at jobs=2, chunks of 16 ran about 20% slower than chunks of 64)
 _SHAPES_PER_TASK = 64
 
+_DEEP_ROOT_MIN_N = 1000  # the root test at d = 14..16 pays for its rows from here on
+
 
 @dataclass(frozen=True)
 class SearchRecord:
@@ -124,9 +127,11 @@ def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | Non
     p = gf2poly.pent_poly(shape).bits
     d = gf2poly._smallest_factor_degree_le(p)
     if d is None:
-        # the decimation certificate, then the rank; n is odd when s is
-        # even here, as the even-n shapes returned as squares
+        # the decimation certificate, a root at d = 14..16 < n, then the rank;
+        # n is odd when s is even here, as the even-n shapes returned as squares
         if (s % 2 == 0 and swan.decimation_reducible(shape)
+                or n >= _DEEP_ROOT_MIN_N and gf2poly._root_degree(
+                    n, s, gf2poly.PREFILTER_DEPTH + 1, gf2poly.ROOT_DEPTH) is not None
                 or not gf2poly._survivor_is_irreducible(p)):
             return REDUCIBLE_FULL_TEST, None
     elif d < n:

@@ -2,7 +2,6 @@
 
 Everything here is arbitrary-precision and exact: power sums of the roots
 via Newton's identities (exact values; the CLI reduces them mod 2^k),
-negative-index power sums as the power sums of the reciprocal polynomial,
 resultants of a monic A and any B as B mod A followed by a subresultant
 remainder sequence of Ducos's steps alone, with Lazard's powers (every
 division exact and checked), and the polynomial discriminant reduced mod 8
@@ -31,7 +30,6 @@ __all__ = [
     "discriminant_mod8",
     "h_poly",
     "lift",
-    "neg_power_sums",
     "power_sums",
     "resultant",
     "second_power_sums",
@@ -171,19 +169,6 @@ def second_power_sums(S: list[int], k: int) -> int:
     if num & 1:
         raise ConsistencyError(f"S_{k}^2 - S_{2*k} is odd; power sums corrupted")
     return num // 2
-
-
-def neg_power_sums(F: IntPoly, count: int) -> list[int]:
-    """Negative-index power sums [S_-1, ..., S_-count] of the roots of monic
-    F with F(0) = 1: the reciprocal X^n * F(1/X) is then monic, and its roots
-    are the inverses of F's roots, so these are its power sums S_1..S_count."""
-    if not F.is_monic or F.degree < 1:
-        raise ValueError("negative power sums require a monic polynomial")
-    if F.constant_term() != 1:
-        raise ValueError("requires constant term 1")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return power_sums(F.reciprocal(), count)[1:]
 
 
 # ---------------------------------------------------------------------------

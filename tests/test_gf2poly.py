@@ -609,9 +609,14 @@ def divisors(L):
     return [h for h in range(1, L + 1) if L % h == 0]
 
 
+def root_keys(d):
+    """(h, w) of every row of degree d: w = (L/h) g for each h | L and g | h."""
+    L = (1 << d) - 1
+    return [(h, L // h * g) for h in divisors(L) for g in divisors(h)]
+
+
 def test_root_tables_are_primitive_and_complete():
-    tables = gf2poly._root_tables()
-    assert len(tables) == len(gf2poly._PRIMITIVE) == gf2poly.PREFILTER_DEPTH - 1
+    assert len(gf2poly._PRIMITIVE) == gf2poly.ROOT_DEPTH - 1
     for d, exponents in enumerate(gf2poly._PRIMITIVE, 2):
         m, L = sum(1 << e for e in exponents), (1 << d) - 1
         assert m.bit_length() - 1 == d
@@ -619,15 +624,22 @@ def test_root_tables_are_primitive_and_complete():
         for i in range(1, L + 1):
             x = oracles.poly_divmod_bits(x << 1, m)[1]
             assert (x == 1) == (i == L), (d, i)
-        assert tables[d - 2][0] == L
-        # one row of length w = (L/h) g for each h | L and g | h; where
-        # h = L, only t = 0 has t a = 0, so no row there marks anything
-        marks = tables[d - 2][1]
-        assert sorted(marks) == sorted((h, L // h * g) for h in divisors(L) for g in divisors(h))
-        assert all(len(row) == w and set(row) <= {0, 1} for (h, w), row in marks.items())
-        assert not any(any(row) for (h, _), row in marks.items() if h == L)
-    assert [len(marks) for _, marks in tables] == [3, 3, 9, 3, 18, 3, 27, 9, 27, 9, 162, 3]
-    assert sum(len(row) for _, marks in tables for row in marks.values()) == 192236
+    # the pool's build makes every row of degree <= 13 and no other
+    gf2poly._root_row.cache_clear()
+    gf2poly._build_root_rows()
+    keys = [(d, h, w) for d in range(2, 14) for h, w in root_keys(d)]
+    assert gf2poly._root_row.cache_info().misses == len(keys) == 276
+    rows = {key: gf2poly._root_row(*key) for key in keys}
+    assert gf2poly._root_row.cache_info()[:2] == (276, 276)  # hits, misses
+    assert [len(root_keys(d)) for d in range(2, 14)] == [3, 3, 9, 3, 18, 3, 27, 9, 27, 9, 162, 3]
+    assert sum(len(row) for row in rows.values()) == 192236
+    # where h = L, only t = 0 has t a = 0, so no row there marks anything
+    for d in range(2, gf2poly.ROOT_DEPTH + 1):
+        L = (1 << d) - 1
+        for h, w in root_keys(d) if d <= 13 else [(1, L), (L, 1), (L, L)]:
+            row = gf2poly._root_row(d, h, w)
+            assert len(row) == w and set(row) <= {0, 1}, (d, h, w)
+            assert any(row) == (h < L), (d, h, w)
 
 
 def zech3(d):
@@ -641,35 +653,62 @@ def zech3(d):
     return [L] + [3 * log[x ^ 1] % L for x in power[1:]]
 
 
+def test_zech_tables_are_compact_and_exact():
+    for d in range(2, gf2poly.ROOT_DEPTH + 1):
+        z3 = gf2poly._zech3(d)
+        assert z3.typecode == "I" and z3.tolist() == zech3(d), d
+
+
 def test_root_table_lookup_matches_every_t_on_every_pair_up_to_degree_7():
     # for every (a, b) in (Z/L)^2, the one lookup of _root_degree against
     # "some t in [1, L) has z3[t a] = t b (mod L)"
     for d in range(2, 8):
-        L, marks = gf2poly._root_tables()[d - 2]
-        z3 = zech3(d)
+        L, z3 = (1 << d) - 1, zech3(d)
         hits = 0
         for a in range(L):
             zs = [z3[t * a % L] for t in range(1, L)]
             h = math.gcd(a, L)
             for b in range(L):
                 w = L // h * math.gcd(b, h)
-                lookup = marks[h, w][pow(a // h, -1, L // h) * b % w]
+                lookup = gf2poly._root_row(d, h, w)[pow(a // h, -1, L // h) * b % w]
                 brute = any(z == t * b % L for t, z in enumerate(zs, 1))
                 assert lookup == brute, (d, a, b)
                 hits += brute
         assert 0 < hits < L * L, d
 
 
-def worker_table_count(_):
-    return gf2poly._root_tables.cache_info().currsize
+def test_deep_root_test_matches_the_chain_on_production_columns(reference_pool):
+    # zero tolerance against the oracle's chain to depth 16, on the
+    # prefilter's answer where it hits and the deep test's where it does
+    # not: even s at odd n, odd s at odd and even n
+    hits = set()
+    for n, s_start in [(2401, 2), (2999, 2), (1201, 1), (1202, 1)]:
+        ss = range(s_start, (n - 1) // 3 + 1, 2)
+        polys = [pent_bits(n, s) for s in ss]
+        chain = reference_pool.map(
+            partial(oracles.rabin_smallest_factor_degree, depth=16, rabin=False), polys,
+            chunksize=16)
+        for s, p, expected in zip(ss, polys, chain):
+            d = gf2poly._smallest_factor_degree_le(p)
+            if d is None:
+                d = gf2poly._root_degree(n, s, gf2poly.PREFILTER_DEPTH + 1, gf2poly.ROOT_DEPTH)
+            assert d == expected, (n, s)
+            hits.add(d)
+    assert {None, 14, 15, 16} <= hits
+
+
+def root_cache_sizes(_=None):
+    return gf2poly._root_row.cache_info().currsize, gf2poly._zech3.cache_info().currsize
 
 
 def test_pool_workers_inherit_the_root_tables():
-    # built in the parent before the fork, so no worker builds its own
-    gf2poly._root_tables.cache_clear()
-    assert list(_pool.pool_map(worker_table_count, range(4), 2)) == [1] * 4
+    # built in the parent before the fork, so no worker builds its own:
+    # every row of degree <= 13, on one z3 table per degree
+    gf2poly._root_row.cache_clear()
+    gf2poly._zech3.cache_clear()
+    assert list(_pool.pool_map(root_cache_sizes, range(4), 2)) == [(276, 12)] * 4
     with _pool.shared_pool(2):
-        assert list(_pool.pool_map(worker_table_count, range(4), 2)) == [1] * 4
+        assert list(_pool.pool_map(root_cache_sizes, range(4), 2)) == [(276, 12)] * 4
 
 
 def test_importing_pentaswan_builds_no_root_table():
@@ -677,11 +716,12 @@ def test_importing_pentaswan_builds_no_root_table():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import pentaswan, pentaswan.cli\n"
             "from pentaswan import gf2poly\n"
-            "print(gf2poly._root_tables.cache_info().currsize)\n")
+            "print(gf2poly._root_row.cache_info().currsize,"
+            " gf2poly._zech3.cache_info().currsize)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"
 
 
 # --- text format ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import io
 import sys
@@ -142,10 +143,10 @@ def test_survey_worker_count_invariance():
             return [(record_key(r), r.factor_bound, r.message)
                     for r in survey(iter(shapes), prune=prune, jobs=jobs)]
 
-        gf2poly._root_tables.cache_clear()
+        gf2poly._root_row.cache_clear()
         pooled = [records(2), records(3)]
         # the pools built the prefilter's tables here, before their workers forked
-        assert gf2poly._root_tables.cache_info().currsize == 1
+        assert gf2poly._root_row.cache_info().currsize == 276
         seq = records(1)
         assert len(seq) == len(shapes) > 10 * _SHAPES_PER_TASK
         assert pooled == [seq, seq]
@@ -241,6 +242,50 @@ def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
     skipped = REDUCIBLE_THM1 if prune else REDUCIBLE_SQUARE
     assert {r.outcome for r in records} >= {skipped, REDUCIBLE_SMALL_FACTOR}
     assert 0 < len(tested) < len(shapes)
+
+
+def test_the_deep_root_test_changes_no_row():
+    # above the start n, a hit at degree 14..16 only settles a survivor
+    # before the rank: on these columns (even s at odd n, odd s at odd and
+    # even n) the rows equal the rows with the deep test switched off
+    shapes = [PentShape(n, s) for n, s_start in ((1001, 2), (1503, 2), (1201, 1), (1202, 1))
+              for s in range(s_start, (n - 1) // 3 + 1, 2)]
+    assert min(sh.n for sh in shapes) >= search._DEEP_ROOT_MIN_N
+    root_degree, deep = gf2poly._root_degree, []
+
+    def recording(n, s, lo=2, hi=gf2poly.PREFILTER_DEPTH):
+        d = root_degree(n, s, lo, hi)
+        if lo > gf2poly.PREFILTER_DEPTH:
+            deep.append(d)
+        return d
+
+    def deep_off(n, s, lo=2, hi=gf2poly.PREFILTER_DEPTH):
+        return root_degree(n, s, lo, hi) if lo <= gf2poly.PREFILTER_DEPTH else None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2poly, "_root_degree", recording)
+        rows = [classify_shape(sh) for sh in shapes]
+        mp.setattr(gf2poly, "_root_degree", deep_off)
+        assert [classify_shape(sh) for sh in shapes] == rows
+    assert {14, 15, 16, None} <= set(deep)
+
+
+# the rows of ``search --n-max 501`` (n, s and outcome, elapsed_us dropped)
+# by their SHA-256: no n there takes the deep root test, so none may change
+SEARCH_501_ROWS_SHA256 = "792de863632079af905ee28800027526ef4b24e32a107cbc306cd79f5df1ecbc"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_below_the_start_n_builds_no_deep_row(capsys, tmp_path, jobs):
+    gf2poly._root_row.cache_clear()
+    gf2poly._zech3.cache_clear()
+    out = tmp_path / "run.csv"
+    assert cli.main(["search", "--n-max", "501", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert "classified 10292 shapes" in capsys.readouterr().err
+    # one z3 table for each degree 2..13, and none past it
+    assert gf2poly._zech3.cache_info().currsize == gf2poly.PREFILTER_DEPTH - 1
+    rows = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.read_text().splitlines())
+    assert hashlib.sha256(rows.encode()).hexdigest() == SEARCH_501_ROWS_SHA256
 
 
 def test_benchmark_tracer_boundaries_exist():

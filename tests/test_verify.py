@@ -14,10 +14,10 @@ def test_run_all_does_not_depend_on_jobs():
     def results(jobs):
         return [(r.name, r.checked, r.failures) for r in verify.run_all(**SMALL, jobs=jobs)]
 
-    gf2poly._root_tables.cache_clear()
+    gf2poly._root_row.cache_clear()
     pooled = [results(2), results(3)]
     # the pool built the prefilter's tables here, before its workers forked
-    assert gf2poly._root_tables.cache_info().currsize == 1
+    assert gf2poly._root_row.cache_info().currsize == 276
     serial = results(1)
     assert [checked > 0 for _, checked, _ in serial] == [True] * 5
     assert pooled == [serial, serial]

@@ -13,7 +13,6 @@ from pentaswan.zpoly import (
     discriminant_mod8,
     h_poly,
     lift,
-    neg_power_sums,
     power_sums,
     resultant,
     second_power_sums,
@@ -174,33 +173,28 @@ def test_pair_power_sums_guards():
 
 # --- negative power sums --------------------------------------------------------------
 
+# S_-1..S_-count of monic F with F(0) = 1 are the power sums S_1..S_count of
+# its reciprocal X^n F(1/X), which is monic with the inverse roots
+
 def test_neg_power_sums_vieta():
-    assert neg_power_sums(IntPoly([(2, 1), (1, 1), (0, 1)]), 1) == [-1]
+    assert power_sums(IntPoly([(2, 1), (1, 1), (0, 1)]).reciprocal(), 1)[1:] == [-1]
 
 
 def test_neg_power_sums_pent_13_2_pattern():
     # series support {7, 9, 11} below the degree; everything else vanishes
-    assert neg_power_sums(pent_lift(13, 2), 12) == [0, 0, 0, 0, 0, 0, -7, 0, -9, 0, -11, 0]
+    assert power_sums(pent_lift(13, 2).reciprocal(), 12)[1:] == (
+        [0, 0, 0, 0, 0, 0, -7, 0, -9, 0, -11, 0])
 
 
-def test_neg_power_sums_match_the_series_identity():
+def test_reciprocal_power_sums_match_the_series_identity():
     rng = random.Random(23)
     cases = [pent_lift(13, 2), pent_lift(19, 4)] + [
         rand_01_poly(rng, rng.randrange(2, 31)) for _ in range(30)
     ]
     for F in cases:
         for count in (1, 60):
-            assert neg_power_sums(F, count) == oracles.series_neg_power_sums(
+            assert power_sums(F.reciprocal(), count)[1:] == oracles.series_neg_power_sums(
                 F.to_dense(), count), F
-
-
-def test_neg_power_sums_validation():
-    with pytest.raises(ValueError):
-        neg_power_sums(IntPoly([(2, 1), (1, 1)]), 3)  # constant term 0
-    with pytest.raises(ValueError):
-        neg_power_sums(IntPoly([(2, 2), (1, 1), (0, 1)]), 3)  # not monic
-    with pytest.raises(ValueError):
-        neg_power_sums(pent_lift(7, 2), 0)
 
 
 # --- resultants -------------------------------------------------------------------------
