@@ -23,7 +23,6 @@ from .gf2poly import (
     pent_poly,
     pow_frobenius,
     reciprocal,
-    rem,
 )
 from .swan import (
     OutOfTheoryError,

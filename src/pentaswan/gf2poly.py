@@ -12,7 +12,7 @@ around the bit integer.  The module-level underscore helpers operate on raw
 integers and carry the performance-sensitive inner loops: the small-factor
 prefilter ``_smallest_factor_degree_le``, a root test in GF(2^d), d <=
 PREFILTER_DEPTH = 13, on equally gapped pentanomials only, which ``search``
-takes on to d = ROOT_DEPTH = 16 before the rank; the survivor decision
+runs to d = ROOT_DEPTH = 16 at large n; the survivor decision
 ``_survivor_is_irreducible``, gcd(p, p') plus Berlekamp's rank; and
 ``factor_count``'s loop over gcd(f, f').  A squaring, for
 ``pow_frobenius``, is two ``bytes.translate`` table maps.
@@ -40,7 +40,6 @@ __all__ = [
     "pent_poly",
     "pow_frobenius",
     "reciprocal",
-    "rem",
 ]
 
 
@@ -186,7 +185,7 @@ def _count_factors_squarefree(g: int) -> int:
 
 
 PREFILTER_DEPTH = 13
-ROOT_DEPTH = 16  # the last degree of the root test that ``search`` runs past the prefilter
+ROOT_DEPTH = 16  # the depth of the root test that ``search`` runs at large n
 
 # a primitive polynomial of each degree d = 2..ROOT_DEPTH, by its
 # exponents: X has order exactly 2^d - 1 modulo it and generates GF(2^d)*
@@ -246,19 +245,19 @@ def _build_root_rows() -> None:
                 _root_row(d, h, L // h * g)
 
 
-def _root_degree(n: int, s: int, lo: int = 2, hi: int = PREFILTER_DEPTH) -> int | None:
-    """The smallest d in [lo, min(hi, n)] at which p = X^n + X^(n-s) +
-    X^(n-2s) + X^(n-3s) + 1, n > 3s, has a root in GF(2^d), or None; from
-    lo = 2, the smallest degree of an irreducible factor.  p(beta) =
+def _root_degree(n: int, s: int, hi: int) -> int | None:
+    """The smallest d in [2, min(hi, n)] at which p = X^n + X^(n-s) +
+    X^(n-2s) + X^(n-3s) + 1, n > 3s, has a root in GF(2^d), or None: the
+    smallest degree of an irreducible factor, if it is <= hi.  p(beta) =
     beta^n (1 + beta^(-s))^3 + 1, as 1 + X + X^2 + X^3 = (1 + X)^3, so with
     a = -s and b = -n mod L, beta = gamma^t is a root iff z3[t a] = t b
     (mod L); z3[0] = L matches nothing.  All t in Z/L are tested: a hit in
     a coset smaller than d is a root in a subfield GF(2^e), e | d, e >= 2
-    (p(0) = p(1) = 1), found at e already if e >= lo.  The hits depend only
+    (p(0) = p(1) = 1), found at e already.  The hits depend only
     on the group <(a, b)> in (Z/L)^2, generated by (h, y) and (0, w): h =
     gcd(a, L), M = L/h, w = M gcd(b, h), y = u b mod w, u = (a/h)^-1 mod M
     (0 for M = 1).  So one lookup decides: _root_row(d, h, w)[y]."""
-    for d in range(lo, min(hi, n) + 1):
+    for d in range(2, min(hi, n) + 1):
         L = (1 << d) - 1
         a, b = -s % L, -n % L
         h = _int_gcd(a, L)
@@ -268,17 +267,17 @@ def _root_degree(n: int, s: int, lo: int = 2, hi: int = PREFILTER_DEPTH) -> int 
     return None
 
 
-def _smallest_factor_degree_le(p: int) -> int | None:
+def _smallest_factor_degree_le(p: int, depth: int = PREFILTER_DEPTH) -> int | None:
     """The small-factor prefilter: for an equally gapped pentanomial,
-    read off p's bits, :func:`_root_degree`; None for any other p, which
-    goes to the survivor decision.  The benchmark's tracer wraps this name
-    as its prefilter boundary."""
+    read off p's bits, :func:`_root_degree` to ``depth``; None for any
+    other p, which goes to the survivor decision.  The benchmark's tracer
+    wraps this name as its prefilter boundary."""
     if p & 1:
         n = _degree(p)
         s = n - _degree(p ^ (1 << n))
         m = n - 3 * s
         if m > 0 and p == (1 << n | 1 << n - s | 1 << n - 2 * s | 1 << m | 1):
-            return _root_degree(n, s)
+            return _root_degree(n, s, depth)
     return None
 
 
@@ -416,11 +415,6 @@ def reciprocal(p: BitPoly) -> BitPoly:
 def mul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Product in GF(2)[X]."""
     return BitPoly(_mul(a.bits, b.bits))
-
-
-def rem(a: BitPoly, m: BitPoly) -> BitPoly:
-    """Remainder of a modulo m, for nonzero m."""
-    return BitPoly(_rem(a.bits, m.bits))
 
 
 def gcd(a: BitPoly, b: BitPoly) -> BitPoly:

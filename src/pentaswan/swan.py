@@ -149,40 +149,32 @@ def thm1_reducible(shape: PentShape) -> bool:
     return shape.n % 8 in (3, 5)
 
 
-def _prime_divisors(g: int) -> list[int]:
-    out = []
-    r = 2
-    while r * r <= g:
-        if g % r == 0:
-            out.append(r)
-            while g % r == 0:
-                g //= r
-        r += 1
-    return out + [g] if g > 1 else out
-
-
 def decimation_reducible(shape: PentShape) -> bool:
     """Certified-reducible test for odd n and even s, by decimation.
 
-    With g = gcd(n, s) the pentanomial is q(X^g), where q is the
-    (n/g, s/g) pentanomial; g is odd, so s/g is even and q is in the
-    family too.  For g > 1 the pentanomial is reducible when q is
-    (``thm1_reducible`` on q, or q reducible), or when some prime r
-    dividing g does not divide 2^m - 1, m = n/g (cf. Lidl-Niederreiter,
-    Finite Fields, Thm 3.35).  For the latter: were p irreducible, with a
-    root a, then X^g - b, b = a^g a root of q, would be irreducible over
-    GF(2^m).  Yet c -> c^r permutes GF(2^m)* when r does not divide
+    With g = gcd(n, s) and m = n/g the pentanomial is q(X^g), where q is
+    the (m, s/g) pentanomial.  For g > 1 it is reducible when some prime r
+    dividing g does not divide 2^m - 1 (cf. Lidl-Niederreiter, Finite
+    Fields, Thm 3.35).  Were p irreducible, with a root a, q would be
+    irreducible of degree m, and X^g - b, b = a^g a root of q, irreducible
+    over GF(2^m).  Yet c -> c^r permutes GF(2^m)* when r does not divide
     2^m - 1, so b = c^r for some c, and X^(g/r) - c divides X^g - b.
+    Every prime of g divides N = 2^m - 1 iff g divides N^k for any k at
+    least each prime's exponent in g, such as k = bit_length(g); so one
+    modular power decides, with no factoring.
+
+    Testing q as well adds nothing on the shapes that the survey keeps,
+    n = +-1 (mod 8).  Theorem 1 holds on q only for m = +-3 (mod 8), and
+    then g = n/m = +-3 (mod 8), so g has a prime r = +-3 (mod 8).  2 is a
+    non-residue mod r (the second supplement to quadratic reciprocity), so
+    the order of 2 mod r is even, does not divide the odd m, and r does not
+    divide 2^m - 1: the order test fires already.  A reducible q outside
+    Theorem 1 leaves p to the rank, which finds p reducible too.
     False means no certificate, not irreducible.
     """
     _require_closed_form_shape(shape)
     g = math.gcd(shape.n, shape.s)
-    if g == 1:
-        return False
-    q = PentShape(shape.n // g, shape.s // g)
-    if thm1_reducible(q) or not gf2poly.is_irreducible(gf2poly.pent_poly(q)):
-        return True
-    return any(pow(2, q.n, r) != 1 for r in _prime_divisors(g))
+    return g > 1 and pow(pow(2, shape.n // g, g) - 1, g.bit_length(), g) != 0
 
 
 def brute_force_parity(p: BitPoly) -> ParityVerdict:

@@ -181,6 +181,21 @@ def berlekamp_count_factors_squarefree(g: int) -> int:
     return n - len(pivots)
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int | None:
     """Smallest degree d of an irreducible factor of p when d <= depth;
     else, with ``rabin``, deg(p) if p is irreducible; else None.
@@ -211,19 +226,6 @@ def rabin_smallest_factor_degree(p: int, depth: int, rabin: bool = True) -> int 
             w >>= 1
             a = (a >> w) ^ (a & ((1 << w) - 1))
         return a
-
-    def prime_factors(n: int) -> list[int]:
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return out
 
     # If p has a factor of degree d with probability ~1/d, a gcd at k > 13
     # stops a reducible chain with probability 1 - prod(1 - 1/d) over the

@@ -358,7 +358,7 @@ def test_search_error_rows_exit_2_and_keep_the_file(capsys, tmp_path, monkeypatc
     # even-s shapes with n = 3, 5 (mod 8), and those rows come back "error"
     from pentaswan import gf2poly
 
-    monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", lambda p: None)
+    monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", lambda p, depth: None)
     monkeypatch.setattr(gf2poly, "_survivor_is_irreducible", lambda p: True)
     out_path = tmp_path / "errors.csv"
     code, _, err = run(

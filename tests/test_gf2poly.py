@@ -27,11 +27,15 @@ from pentaswan.gf2poly import (
     pent_poly,
     pow_frobenius,
     reciprocal,
-    rem,
 )
 from pentaswan.search import enumerate_shapes
 
 import oracles
+
+
+def rem(a, m):
+    """a mod m on BitPolys, through the raw kernel ``_rem``."""
+    return BitPoly(gf2poly._rem(a.bits, m.bits))
 
 
 def rand_poly(rng, max_deg, min_deg=1):
@@ -567,13 +571,13 @@ def test_root_test_matches_the_chain_on_production_columns(reference_pool, n):
 
 @pytest.fixture
 def root_calls(monkeypatch):
-    """Records (n, s) of every call the prefilter makes to the root test."""
+    """Records (n, s, depth) of every call the prefilter makes to the root test."""
     calls = []
     root_degree = gf2poly._root_degree
 
-    def recording(n, s):
-        calls.append((n, s))
-        return root_degree(n, s)
+    def recording(n, s, hi):
+        calls.append((n, s, hi))
+        return root_degree(n, s, hi)
 
     monkeypatch.setattr(gf2poly, "_root_degree", recording)
     return calls
@@ -595,14 +599,14 @@ def test_only_equally_gapped_pentanomials_take_the_root_test(root_calls):
         assert root_calls == []
         p = pent_bits(n, s)
         assert prefilter_then_survivor(p) == oracles.naive_smallest_factor_degree(p, 13)
-        assert root_calls == [(n, s)]
+        assert root_calls == [(n, s, 13)]
         root_calls.clear()
     # the reciprocal of an equally gapped p with n = 4s is p itself
     p = pent_bits(20, 5)
     assert reciprocal(BitPoly(p)).bits == p
-    assert gf2poly._smallest_factor_degree_le(p) == (
-        oracles.rabin_smallest_factor_degree(p, 13, rabin=False))
-    assert root_calls == [(20, 5)]
+    assert gf2poly._smallest_factor_degree_le(p, 16) == (
+        oracles.rabin_smallest_factor_degree(p, 16, rabin=False))
+    assert root_calls == [(20, 5, 16)]
 
 
 def divisors(L):
@@ -678,9 +682,9 @@ def test_root_table_lookup_matches_every_t_on_every_pair_up_to_degree_7():
 
 
 def test_deep_root_test_matches_the_chain_on_production_columns(reference_pool):
-    # zero tolerance against the oracle's chain to depth 16, on the
-    # prefilter's answer where it hits and the deep test's where it does
-    # not: even s at odd n, odd s at odd and even n
+    # zero tolerance against the oracle's chain to depth 16, on the root
+    # test to depth 16 from d = 2, as the survey calls it at n >= 1000:
+    # even s at odd n, odd s at odd and even n
     hits = set()
     for n, s_start in [(2401, 2), (2999, 2), (1201, 1), (1202, 1)]:
         ss = range(s_start, (n - 1) // 3 + 1, 2)
@@ -689,9 +693,7 @@ def test_deep_root_test_matches_the_chain_on_production_columns(reference_pool):
             partial(oracles.rabin_smallest_factor_degree, depth=16, rabin=False), polys,
             chunksize=16)
         for s, p, expected in zip(ss, polys, chain):
-            d = gf2poly._smallest_factor_degree_le(p)
-            if d is None:
-                d = gf2poly._root_degree(n, s, gf2poly.PREFILTER_DEPTH + 1, gf2poly.ROOT_DEPTH)
+            d = gf2poly._smallest_factor_degree_le(p, gf2poly.ROOT_DEPTH)
             assert d == expected, (n, s)
             hits.add(d)
     assert {None, 14, 15, 16} <= hits

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib.util
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -211,7 +212,7 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
     from pentaswan.zpoly import ConsistencyError
 
     monkeypatch.setattr(search_mod.gf2poly, "_smallest_factor_degree_le",
-                        lambda p: None)
+                        lambda p, depth: None)
     monkeypatch.setattr(search_mod.gf2poly, "_survivor_is_irreducible", lambda p: True)
     with pytest.raises(ConsistencyError):
         classify_shape(PentShape(11, 2), prune=False)
@@ -219,55 +220,78 @@ def test_classify_raises_on_impossible_irreducible(monkeypatch):
     assert [r.outcome for r in records] == ["error"]
 
 
+def refuse_is_irreducible(p):
+    raise AssertionError("the survey called is_irreducible")
+
+
 @pytest.mark.parametrize("prune", [True, False])
 def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
-    # (2401, 388) is a table2 irreducible; (14, 4) is a square; the even-s
-    # shapes with n = 3, 5 (mod 8) or n even are pruned when prune is on;
-    # gcd(n, s) = 1 for every even-s survivor here, so the decimation
-    # certificate, which runs the prefilter on a smaller shape, stays out
+    # (2401, 388), (775, 186) and (1081, 282) are table2 irreducibles, the
+    # last two with gcd(n, s) = 31 and 47; the decimation certificate
+    # settles the survivors (105, 6) and (1001, 52); (1001, 130), with
+    # gcd 13, has a root at d = 15; (14, 4) is a square; the even-s shapes
+    # with n = 3, 5 (mod 8) or n even are pruned when prune is on.  Each
+    # tested shape takes one root-test call, to depth 16 from n = 1000 on,
+    # and nothing calls is_irreducible
     shapes = [PentShape(n, s) for n, s in
-              ((2401, 388), (7, 2), (9, 2), (11, 2), (13, 2), (13, 3), (14, 4), (35, 2))]
+              ((2401, 388), (7, 2), (9, 2), (11, 2), (13, 2), (13, 3), (14, 4), (35, 2),
+               (105, 6), (775, 186), (1001, 52), (1001, 130), (1081, 282))]
     prefilter = gf2poly._smallest_factor_degree_le
     called = []
 
-    def counted(p):
-        called.append(p)
-        return prefilter(p)
+    def counted(p, depth):
+        called.append((p, depth))
+        return prefilter(p, depth)
 
     monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", counted)
+    monkeypatch.setattr(gf2poly, "is_irreducible", refuse_is_irreducible)
     records = list(survey(shapes, prune=prune, jobs=1))
     tested = [rec for rec in records if rec.outcome not in (REDUCIBLE_THM1, REDUCIBLE_SQUARE)]
-    assert called == [gf2poly.pent_poly(PentShape(r.n, r.s)).bits for r in tested]
-    assert records[0].outcome == IRREDUCIBLE
+    assert called == [(gf2poly.pent_poly(PentShape(r.n, r.s)).bits, 16 if r.n >= 1000 else 13)
+                      for r in tested]
+    outcomes = {(r.n, r.s): r.outcome for r in records}
+    assert outcomes[2401, 388] == outcomes[775, 186] == outcomes[1081, 282] == IRREDUCIBLE
+    assert outcomes[105, 6] == outcomes[1001, 52] == outcomes[1001, 130] == REDUCIBLE_FULL_TEST
     skipped = REDUCIBLE_THM1 if prune else REDUCIBLE_SQUARE
     assert {r.outcome for r in records} >= {skipped, REDUCIBLE_SMALL_FACTOR}
+    assert ERROR not in outcomes.values()
     assert 0 < len(tested) < len(shapes)
 
 
-def test_the_deep_root_test_changes_no_row():
-    # above the start n, a hit at degree 14..16 only settles a survivor
-    # before the rank: on these columns (even s at odd n, odd s at odd and
-    # even n) the rows equal the rows with the deep test switched off
+def test_survey_of_decimated_shapes_never_calls_is_irreducible(monkeypatch):
+    # every even-s shape with gcd(n, s) > 1 at odd n < 400 and at n = 775
+    # and 1001, unpruned: is_irreducible raising would make error rows
+    shapes = [sh for sh in enumerate_shapes(7, 400) if math.gcd(sh.n, sh.s) > 1]
+    shapes += [sh for n in (775, 1001) for sh in enumerate_shapes(n, n + 1)
+               if math.gcd(sh.n, sh.s) > 1]
+    monkeypatch.setattr(gf2poly, "is_irreducible", refuse_is_irreducible)
+    outcomes = [r.outcome for r in survey(shapes, prune=False, jobs=1)]
+    assert len(outcomes) == 1251 and ERROR not in outcomes
+    assert outcomes.count(IRREDUCIBLE) == 1  # (775, 186)
+    assert outcomes.count(REDUCIBLE_FULL_TEST) == 237
+
+
+def test_the_deep_root_test_changes_no_row(monkeypatch):
+    # above the start n, a root at degree 14..16 settles a shape as
+    # red_full, as the rank would: on these columns (even s at odd n, odd s
+    # at odd and even n) the rows equal the rows with the start n out of
+    # reach, where the root test stops at 13
     shapes = [PentShape(n, s) for n, s_start in ((1001, 2), (1503, 2), (1201, 1), (1202, 1))
               for s in range(s_start, (n - 1) // 3 + 1, 2)]
     assert min(sh.n for sh in shapes) >= search._DEEP_ROOT_MIN_N
-    root_degree, deep = gf2poly._root_degree, []
+    prefilter, seen = gf2poly._smallest_factor_degree_le, []
 
-    def recording(n, s, lo=2, hi=gf2poly.PREFILTER_DEPTH):
-        d = root_degree(n, s, lo, hi)
-        if lo > gf2poly.PREFILTER_DEPTH:
-            deep.append(d)
-        return d
+    def recording(p, depth):
+        seen.append((depth, prefilter(p, depth)))
+        return seen[-1][1]
 
-    def deep_off(n, s, lo=2, hi=gf2poly.PREFILTER_DEPTH):
-        return root_degree(n, s, lo, hi) if lo <= gf2poly.PREFILTER_DEPTH else None
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf2poly, "_root_degree", recording)
-        rows = [classify_shape(sh) for sh in shapes]
-        mp.setattr(gf2poly, "_root_degree", deep_off)
-        assert [classify_shape(sh) for sh in shapes] == rows
-    assert {14, 15, 16, None} <= set(deep)
+    monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", recording)
+    rows = [classify_shape(sh) for sh in shapes]
+    assert {depth for depth, _ in seen} == {gf2poly.ROOT_DEPTH}
+    assert {14, 15, 16, None} <= {d for _, d in seen}
+    monkeypatch.setattr(search, "_DEEP_ROOT_MIN_N", 3000)
+    assert [classify_shape(sh) for sh in shapes] == rows
+    assert {depth for depth, _ in seen[len(shapes):]} == {gf2poly.PREFILTER_DEPTH}
 
 
 # the rows of ``search --n-max 501`` (n, s and outcome, elapsed_us dropped)

@@ -235,16 +235,14 @@ def test_decimation_certificate_agrees_with_the_rank_on_every_survivor():
     # every prefilter survivor with odd n < 1000 or n in {2991, 2993}, even s
     # and gcd(n, s) > 1 (1,498 shapes, n = +-3 (mod 8) included, since a
     # --no-prune survey reaches the certificate there): wherever the
-    # certificate fires, gcd(p, p') plus the rank must say reducible too;
-    # it must fire by each of its three routes, and it leaves only the
-    # table2 irreducibles (775, 186) and (889, 254) to the rank
-    routes = {"thm1": 0, "q reducible": 0, "order": 0}
-    left = []
+    # certificate fires, gcd(p, p') plus the rank must say reducible too,
+    # and it leaves only the table2 irreducibles (775, 186) and (889, 254)
+    # to the rank
+    fired, left = 0, []
     for n in [*range(7, 1000, 2), 2991, 2993]:
         for s in even_s_range(n):
             shape = PentShape(n, s)
-            g = math.gcd(n, s)
-            if g == 1:
+            if math.gcd(n, s) == 1:
                 assert not decimation_reducible(shape), shape
                 continue
             p = pent_poly(shape).bits
@@ -254,17 +252,43 @@ def test_decimation_certificate_agrees_with_the_rank_on_every_survivor():
                 left.append((n, s))
                 continue
             assert not gf2poly._survivor_is_irreducible(p), shape
-            q = PentShape(n // g, s // g)
-            if thm1_reducible(q):
-                routes["thm1"] += 1
-            elif not is_irreducible(pent_poly(q)):
-                routes["q reducible"] += 1
-            else:
-                routes["order"] += 1
+            fired += 1
     assert left == [(775, 186), (889, 254)]
     assert all(is_irreducible(pent_poly(PentShape(n, s))) for n, s in left)
-    assert min(routes.values()) > 0, routes
-    assert sum(routes.values()) == 1496
+    assert fired == 1496
+
+
+def test_decimation_certificate_is_the_order_test_on_every_divisor():
+    # the certificate's one modular power against trial division: it fires
+    # iff g = gcd(n, s) > 1 has a prime that does not divide 2^(n/g) - 1.
+    # It depends on (n, g) alone, so s = 2g covers every odd n < 3000 and
+    # every g | n with n/g >= 7, the g that some valid shape has
+    pairs = 0
+    for n in range(7, 3000, 2):
+        for g in range(1, n // 7 + 1):
+            if n % g == 0:
+                m = n // g
+                expected = g > 1 and any(pow(2, m, r) != 1 for r in oracles.prime_factors(g))
+                assert decimation_reducible(PentShape(n, 2 * g)) == expected, (n, g)
+                pairs += 1
+    assert pairs == 4857
+
+
+def test_decimation_certificate_covers_theorem1_on_the_smaller_shape():
+    # n = +-1 and n/g = +-3 (mod 8) force g = +-3 (mod 8), hence a prime
+    # r = +-3 (mod 8) of g, of even order mod 2 dividing no 2^(n/g) - 1:
+    # on every shape the survey keeps, the order test fires wherever
+    # Theorem 1 holds on the smaller shape (n/g, s/g)
+    fired = 0
+    for n in range(7, 3000, 2):
+        if n % 8 not in (1, 7):
+            continue
+        for s in even_s_range(n):
+            g = math.gcd(n, s)
+            if g > 1 and (n // g) % 8 in (3, 5):
+                assert decimation_reducible(PentShape(n, s)), (n, s)
+                fired += 1
+    assert fired == 27239
 
 
 def test_decimation_certificate_never_fires_on_an_irreducible():
