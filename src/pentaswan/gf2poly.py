@@ -12,7 +12,7 @@ around the bit integer.  The module-level underscore helpers operate on raw
 integers and carry the performance-sensitive inner loops: the small-factor
 prefilter ``_smallest_factor_degree_le``, a root test in GF(2^d), d <=
 PREFILTER_DEPTH = 13, on equally gapped pentanomials only, which ``search``
-runs to d = ROOT_DEPTH = 16 at large n; the survivor decision
+runs to d = ROOT_DEPTH = 19 at large n; the survivor decision
 ``_survivor_is_irreducible``, gcd(p, p') plus Berlekamp's rank; and
 ``factor_count``'s loop over gcd(f, f').  A squaring, for
 ``pow_frobenius``, is two ``bytes.translate`` table maps.
@@ -185,32 +185,37 @@ def _count_factors_squarefree(g: int) -> int:
 
 
 PREFILTER_DEPTH = 13
-ROOT_DEPTH = 16  # the depth of the root test that ``search`` runs at large n
+ROOT_DEPTH = 19  # the depth of the root test that ``search`` runs at large n
 
 # a primitive polynomial of each degree d = 2..ROOT_DEPTH, by its
 # exponents: X has order exactly 2^d - 1 modulo it and generates GF(2^d)*
 _PRIMITIVE = ((2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 2, 0), (6, 1, 0), (7, 1, 0),
               (8, 4, 3, 2, 0), (9, 4, 0), (10, 3, 0), (11, 2, 0), (12, 6, 4, 1, 0),
-              (13, 4, 3, 1, 0), (14, 5, 3, 1, 0), (15, 1, 0), (16, 5, 3, 2, 0))
+              (13, 4, 3, 1, 0), (14, 5, 3, 1, 0), (15, 1, 0), (16, 5, 3, 2, 0),
+              (17, 3, 0), (18, 7, 0), (19, 5, 2, 1, 0))
 
 
 @cache
 def _zech3(d: int) -> array:
     """z3[k] = 3 Z(k) mod L, L = 2^d - 1, Z the Zech logarithm to the base
-    gamma = X, and z3[0] = L: built from and kept in arrays of 4-byte entries."""
-    poly, L = sum(1 << e for e in _PRIMITIVE[d - 2]), (1 << d) - 1
-    power, log = array("I", bytes(4 * L)), array("I", bytes(4 * (L + 1)))
-    x = 1
+    gamma = X, and z3[0] = L, in 4-byte entries.  One walk of the powers
+    x = X^i fills log[x] = i, a second fills z3 in place, so the build
+    peaks at the two tables, about 8 bytes per field element."""
+    poly, L, x = sum(1 << e for e in _PRIMITIVE[d - 2]), (1 << d) - 1, 1
+    log, z3 = array("I", [0]) * (L + 1), array("I", [L]) * L
     for i in range(L):
-        power[i], log[x] = x, i
+        log[x] = i
         x = x << 1 ^ poly if x >> d - 1 else x << 1
-    return array("I", [L]) + array("I", (3 * log[x ^ 1] % L for x in power[1:]))
+    for i in range(1, L):
+        x = x << 1 ^ poly if x >> d - 1 else x << 1
+        z3[i] = 3 * log[x ^ 1] % L
+    return z3
 
 
 @cache
 def _root_row(d: int, h: int, w: int) -> bytearray:
     """The lookup row of degree d for h | L, M = L/h and w = M g, g | h,
-    built on first use, as all rows to d = 16 take seconds: row[y] = 1 iff
+    built on first use, as all rows to d = 19 take 15 MB: row[y] = 1 iff
     some m in [1, M) has z3[m h] = m y (mod w); with e = gcd(m, w), iff
     e | z3[m h] and y = (z3[m h]/e) (m/e)^-1 (mod w/e), e residues in one slice."""
     z3, row = _zech3(d), bytearray(w)

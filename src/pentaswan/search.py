@@ -3,10 +3,10 @@
 The pipeline is: enumerate shapes in deterministic (n, s) order, classify
 each one, and aggregate statistics.  Classification runs the closed-form
 prune (Theorem 1), the square short-circuit, one root test over GF(2^d)
-(d <= 13, or d <= 16 at n >= 1000), then, for even s, the decimation
+(d <= 13, or d <= 19 at n >= 1000), then, for even s, the decimation
 certificate (``swan.decimation_reducible``, one modular power), and last
 the squarefree gcd plus Berlekamp's rank.  None of these calls another.
-A root at d <= 13 is a ``red_smallfac`` row; a root at d = 14..16, or a
+A root at d <= 13 is a ``red_smallfac`` row; a root at d = 14..19, or a
 survivor that the certificate or the rank calls reducible, is ``red_full``.
 Classification of distinct shapes is embarrassingly parallel: shapes go to
 a process pool in fixed-size chunks, and the output order comes from the
@@ -134,7 +134,7 @@ def classify_shape(shape: PentShape, prune: bool = True) -> tuple[str, int | Non
                 or not gf2poly._survivor_is_irreducible(p)):
             return REDUCIBLE_FULL_TEST, None
     elif d < n:
-        # a root at d = 14..16 (so n >= 1000) is a factor, but no small one
+        # a root at d = 14..19 (so n >= 1000) is a factor, but no small one
         if d <= gf2poly.PREFILTER_DEPTH:
             return REDUCIBLE_SMALL_FACTOR, d
         return REDUCIBLE_FULL_TEST, None

@@ -73,13 +73,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly((e - 1, e * c) for e, c in self.terms if e)
 
-    def reciprocal(self) -> "IntPoly":
-        """X^deg * p(1/X); needs a nonzero constant term to preserve degree."""
-        if not self.constant_term():
-            raise ValueError("reciprocal requires a nonzero constant term")
-        n = self.terms[0][0]
-        return IntPoly((n - e, c) for e, c in self.terms)
-
     def to_dense(self) -> list[int]:
         """Low-to-high coefficient list; [] for the zero polynomial."""
         if not self.terms:

@@ -513,6 +513,16 @@ def pair_power_sum_numeric(coeffs: list[int], k: int) -> int:
     return int(value)
 
 
+def int_reciprocal(F):
+    """X^n F(1/X) of the zpoly IntPoly F of degree n: monic with the
+    inverse roots when F(0) = 1, so its power sums S_1, S_2, ... are
+    S_-1, S_-2, ... of F.  Needs a nonzero constant term to keep degree n."""
+    if not F.constant_term():
+        raise ValueError("reciprocal requires a nonzero constant term")
+    n = F.terms[0][0]
+    return type(F)((n - e, c) for e, c in F.terms)
+
+
 def series_neg_power_sums(coeffs: list[int], count: int) -> list[int]:
     """[S_-1, ..., S_-count] for the monic polynomial F with dense low-to-high
     ``coeffs`` and F(0) = 1, from the formal power-series identity

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -358,13 +359,15 @@ def prefilter_then_survivor(p: int) -> int | None:
     return d
 
 
-def test_prefilter_and_survivor_decision_match_oracle_on_every_shape_below_200():
-    for parity in ("even", "odd"):
-        for shape in enumerate_shapes(7, 200, parity, "all"):
-            p = pent_poly(shape).bits
-            assert prefilter_then_survivor(p) == (
-                oracles.naive_smallest_factor_degree(p, 13)
-            ), shape
+def test_prefilter_and_survivor_decision_match_oracle_on_every_shape_below_200(
+        reference_pool):
+    shapes = [shape for parity in ("even", "odd")
+              for shape in enumerate_shapes(7, 200, parity, "all")]
+    polys = [pent_poly(shape).bits for shape in shapes]
+    naive = reference_pool.map(
+        partial(oracles.naive_smallest_factor_degree, depth=13), polys, chunksize=64)
+    for shape, p, expected in zip(shapes, polys, naive):
+        assert prefilter_then_survivor(p) == expected, shape
 
 
 def test_prefilter_and_survivor_decision_match_trial_division_on_p_and_its_reciprocal():
@@ -619,15 +622,26 @@ def root_keys(d):
     return [(h, L // h * g) for h in divisors(L) for g in divisors(h)]
 
 
+def x_power_mod(e, m):
+    """X^e mod m, by square-and-multiply on plain remainders."""
+    x = 1
+    for bit in format(e, "b"):
+        x = oracles.poly_divmod_bits(oracles.naive_square(x), m)[1]
+        if bit == "1":
+            x = oracles.poly_divmod_bits(x << 1, m)[1]
+    return x
+
+
 def test_root_tables_are_primitive_and_complete():
     assert len(gf2poly._PRIMITIVE) == gf2poly.ROOT_DEPTH - 1
     for d, exponents in enumerate(gf2poly._PRIMITIVE, 2):
         m, L = sum(1 << e for e in exponents), (1 << d) - 1
         assert m.bit_length() - 1 == d
-        x = 1  # X has order exactly L modulo m
-        for i in range(1, L + 1):
-            x = oracles.poly_divmod_bits(x << 1, m)[1]
-            assert (x == 1) == (i == L), (d, i)
+        # X has order exactly L modulo m: X^L = 1, and X^(L/q) != 1 for
+        # each prime q | L, so m is irreducible and X generates GF(2^d)*
+        assert x_power_mod(L, m) == 1, d
+        for q in oracles.prime_factors(L):
+            assert x_power_mod(L // q, m) != 1, (d, q)
     # the pool's build makes every row of degree <= 13 and no other
     gf2poly._root_row.cache_clear()
     gf2poly._build_root_rows()
@@ -653,7 +667,9 @@ def zech3(d):
     power = [1]
     for _ in range(L - 1):
         power.append(oracles.poly_divmod_bits(power[-1] << 1, m)[1])
-    log = {x: k for k, x in enumerate(power)}
+    log = [0] * (L + 1)
+    for k, x in enumerate(power):
+        log[x] = k
     return [L] + [3 * log[x ^ 1] % L for x in power[1:]]
 
 
@@ -661,6 +677,21 @@ def test_zech_tables_are_compact_and_exact():
     for d in range(2, gf2poly.ROOT_DEPTH + 1):
         z3 = gf2poly._zech3(d)
         assert z3.typecode == "I" and z3.tolist() == zech3(d), d
+
+
+def test_zech_table_build_holds_no_power_table():
+    # the build, uncached, peaks at its log and z3 tables, 4-byte entries
+    # each, about 8 bytes per field element; a third table of powers would
+    # take it to 12 or more
+    d = 17
+    tracemalloc.start()
+    try:
+        z3 = gf2poly._zech3.__wrapped__(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**d, peak
+    assert z3.tolist() == zech3(d)
 
 
 def test_root_table_lookup_matches_every_t_on_every_pair_up_to_degree_7():
@@ -682,21 +713,21 @@ def test_root_table_lookup_matches_every_t_on_every_pair_up_to_degree_7():
 
 
 def test_deep_root_test_matches_the_chain_on_production_columns(reference_pool):
-    # zero tolerance against the oracle's chain to depth 16, on the root
-    # test to depth 16 from d = 2, as the survey calls it at n >= 1000:
-    # even s at odd n, odd s at odd and even n
-    hits = set()
+    # zero tolerance against the oracle's chain to depth ROOT_DEPTH, on the
+    # root test to that depth from d = 2, as the survey calls it at
+    # n >= 1000: even s at odd n, odd s at odd and even n
+    depth, hits = gf2poly.ROOT_DEPTH, set()
     for n, s_start in [(2401, 2), (2999, 2), (1201, 1), (1202, 1)]:
         ss = range(s_start, (n - 1) // 3 + 1, 2)
         polys = [pent_bits(n, s) for s in ss]
         chain = reference_pool.map(
-            partial(oracles.rabin_smallest_factor_degree, depth=16, rabin=False), polys,
+            partial(oracles.rabin_smallest_factor_degree, depth=depth, rabin=False), polys,
             chunksize=16)
         for s, p, expected in zip(ss, polys, chain):
-            d = gf2poly._smallest_factor_degree_le(p, gf2poly.ROOT_DEPTH)
+            d = gf2poly._smallest_factor_degree_le(p, depth)
             assert d == expected, (n, s)
             hits.add(d)
-    assert {None, 14, 15, 16} <= hits
+    assert {None, 14, 15, 16, 17, 18, 19} <= hits
 
 
 def root_cache_sizes(_=None):

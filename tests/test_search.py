@@ -231,8 +231,8 @@ def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
     # settles the survivors (105, 6) and (1001, 52); (1001, 130), with
     # gcd 13, has a root at d = 15; (14, 4) is a square; the even-s shapes
     # with n = 3, 5 (mod 8) or n even are pruned when prune is on.  Each
-    # tested shape takes one root-test call, to depth 16 from n = 1000 on,
-    # and nothing calls is_irreducible
+    # tested shape takes one root-test call, to depth ROOT_DEPTH from
+    # n = 1000 on, and nothing calls is_irreducible
     shapes = [PentShape(n, s) for n, s in
               ((2401, 388), (7, 2), (9, 2), (11, 2), (13, 2), (13, 3), (14, 4), (35, 2),
                (105, 6), (775, 186), (1001, 52), (1001, 130), (1081, 282))]
@@ -247,7 +247,8 @@ def test_survey_runs_the_prefilter_once_per_tested_shape(monkeypatch, prune):
     monkeypatch.setattr(gf2poly, "is_irreducible", refuse_is_irreducible)
     records = list(survey(shapes, prune=prune, jobs=1))
     tested = [rec for rec in records if rec.outcome not in (REDUCIBLE_THM1, REDUCIBLE_SQUARE)]
-    assert called == [(gf2poly.pent_poly(PentShape(r.n, r.s)).bits, 16 if r.n >= 1000 else 13)
+    assert called == [(gf2poly.pent_poly(PentShape(r.n, r.s)).bits,
+                       gf2poly.ROOT_DEPTH if r.n >= 1000 else gf2poly.PREFILTER_DEPTH)
                       for r in tested]
     outcomes = {(r.n, r.s): r.outcome for r in records}
     assert outcomes[2401, 388] == outcomes[775, 186] == outcomes[1081, 282] == IRREDUCIBLE
@@ -272,7 +273,7 @@ def test_survey_of_decimated_shapes_never_calls_is_irreducible(monkeypatch):
 
 
 def test_the_deep_root_test_changes_no_row(monkeypatch):
-    # above the start n, a root at degree 14..16 settles a shape as
+    # above the start n, a root at degree 14..19 settles a shape as
     # red_full, as the rank would: on these columns (even s at odd n, odd s
     # at odd and even n) the rows equal the rows with the start n out of
     # reach, where the root test stops at 13
@@ -288,7 +289,7 @@ def test_the_deep_root_test_changes_no_row(monkeypatch):
     monkeypatch.setattr(gf2poly, "_smallest_factor_degree_le", recording)
     rows = [classify_shape(sh) for sh in shapes]
     assert {depth for depth, _ in seen} == {gf2poly.ROOT_DEPTH}
-    assert {14, 15, 16, None} <= {d for _, d in seen}
+    assert {None, 14, 15, 16, 17, 18, 19} <= {d for _, d in seen}
     monkeypatch.setattr(search, "_DEEP_ROOT_MIN_N", 3000)
     assert [classify_shape(sh) for sh in shapes] == rows
     assert {depth for depth, _ in seen[len(shapes):]} == {gf2poly.PREFILTER_DEPTH}
