@@ -14,7 +14,6 @@ from .gf2poly import (
     FactorCount,
     PentShape,
     ShapeError,
-    derivative,
     factor_count,
     gcd,
     is_irreducible,
@@ -22,7 +21,6 @@ from .gf2poly import (
     mul,
     pent_poly,
     pow_frobenius,
-    reciprocal,
 )
 from .swan import (
     OutOfTheoryError,

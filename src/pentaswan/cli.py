@@ -155,7 +155,7 @@ def _cmd_disc(args) -> int:
         F = zpoly.lift(gf2poly.pent_poly(shape))
     else:
         F = zpoly.lift(BitPoly.from_hex(args.poly))
-    routes["resultant"] = zpoly.discriminant_mod8(F)
+    routes["discriminant_mod8"] = zpoly.discriminant_mod8(F)
     lines = [f"{name}: {value}" for name, value in routes.items()]
     agree = len(set(routes.values())) == 1
     if len(routes) > 1:
@@ -279,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--format", choices=("human", "json"), default="human")
 
-    p = add("disc", _cmd_disc, "discriminant mod 8 by resultant; odd n, even s also by closed form")
+    p = add("disc", _cmd_disc, "discriminant of the lift mod 8; odd n, even s also by closed form")
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--poly")

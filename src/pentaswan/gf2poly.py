@@ -31,7 +31,6 @@ __all__ = [
     "FactorCount",
     "PentShape",
     "ShapeError",
-    "derivative",
     "factor_count",
     "gcd",
     "is_irreducible",
@@ -39,7 +38,6 @@ __all__ = [
     "mul",
     "pent_poly",
     "pow_frobenius",
-    "reciprocal",
 ]
 
 
@@ -142,11 +140,6 @@ def _exponents(a: int) -> list[int]:
         out.append(d)
         a ^= 1 << d
     return out
-
-
-def _reverse(a: int) -> int:
-    """Bit-reversal of a over its own length: X^deg(a) * a(1/X)."""
-    return int(format(a, "b")[::-1], 2)
 
 
 def _count_factors_squarefree(g: int) -> int:
@@ -297,18 +290,15 @@ def _survivor_is_irreducible(p: int) -> bool:
 # public polynomial type
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BitPoly:
     """Immutable dense polynomial over GF(2), packed as an int bitvector."""
 
-    __slots__ = ("bits",)
+    bits: int
 
-    def __init__(self, bits: int):
-        if bits < 0:
+    def __post_init__(self):
+        if self.bits < 0:
             raise ValueError("coefficient bitvector must be nonnegative")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitPoly is immutable")
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "BitPoly":
@@ -333,22 +323,12 @@ class BitPoly:
         """Index of the highest set coefficient; -inf for the zero polynomial."""
         return self.bits.bit_length() - 1 if self.bits else float("-inf")
 
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def exponents(self) -> list[int]:
         """Exponents with coefficient 1, in decreasing order."""
         return _exponents(self.bits)
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitPoly) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((BitPoly, self.bits))
 
     def __bool__(self) -> bool:
         return bool(self.bits)
@@ -409,14 +389,6 @@ def pent_poly(shape: PentShape) -> BitPoly:
     return BitPoly.from_exponents(shape.exponents)
 
 
-def reciprocal(p: BitPoly) -> BitPoly:
-    """X^deg(p) * p(1/X), the bit-reversal of p.  Requires p(0) = 1 so the
-    degree is preserved (and the map is an involution)."""
-    if not p.bits & 1:
-        raise ValueError("reciprocal requires a nonzero constant term")
-    return BitPoly(_reverse(p.bits))
-
-
 def mul(a: BitPoly, b: BitPoly) -> BitPoly:
     """Product in GF(2)[X]."""
     return BitPoly(_mul(a.bits, b.bits))
@@ -427,11 +399,6 @@ def gcd(a: BitPoly, b: BitPoly) -> BitPoly:
     if not a.bits and not b.bits:
         raise ValueError("gcd(0, 0) is undefined")
     return BitPoly(_gcd(a.bits, b.bits))
-
-
-def derivative(p: BitPoly) -> BitPoly:
-    """Formal derivative; terms of even exponent vanish in characteristic 2."""
-    return BitPoly(_deriv(p.bits))
 
 
 def is_squarefree(p: BitPoly) -> bool:

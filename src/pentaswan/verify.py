@@ -1,10 +1,10 @@
 """Cross-validation suites: closed forms against exact brute-force oracles.
 
-Each suite sweeps a parameter range and compares two independently computed
+Each suite sweeps a parameter range and compares independently computed
 answers (closed-form predicate vs. actual factorization structure, or
-closed-form discriminant vs. resultant routes).  A clean run returns zero
-failures; any failure would be a genuine finding, since the closed forms
-are supposed to be theorems.
+closed-form discriminant vs. Swan's residue and Res(F, F')).  A clean run
+returns zero failures; any failure would be a genuine finding, since the
+closed forms are supposed to be theorems.
 
 Every suite computes a column function for each n, each column returning
 its (checked, failures) pair, and merges the columns in n order at any
@@ -150,7 +150,8 @@ def discriminant_agreement(n_max: int = 60, jobs: int | None = 1) -> CheckResult
     n <= n_max, even s: ``discriminant_mod8``, which for these lifts is
     Swan's reduction of Res(F, n*F - X*F') to a cubic, taken mod 8, and the
     classical Res(F, F') of degree n, computed exactly."""
-    result = CheckResult("discriminant mod 8: closed form vs exact resultant")
+    result = CheckResult(
+        "discriminant mod 8: closed form vs Swan's residue vs exact Res(F, F')")
     return _sweep(result, _disc_column, range(7, n_max + 1, 2), jobs)
 
 

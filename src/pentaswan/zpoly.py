@@ -18,8 +18,8 @@ power sum regardless of the degree.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 from .gf2poly import BitPoly
 
@@ -40,21 +40,23 @@ class ConsistencyError(RuntimeError):
     """An identity that must hold mathematically failed: implementation bug."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IntPoly:
-    """Sparse polynomial over Z: (exponent, coefficient) pairs, exponents
-    strictly decreasing, coefficients nonzero."""
+    """Immutable sparse polynomial over Z: (exponent, coefficient) pairs,
+    exponents strictly decreasing, coefficients nonzero.  Any iterable of
+    pairs is accepted; equal exponents are merged."""
 
-    __slots__ = ("terms",)
+    terms: tuple[tuple[int, int], ...]
 
-    def __init__(self, terms: Iterable[tuple[int, int]]):
+    def __post_init__(self):
         merged: dict[int, int] = {}
-        for e, c in terms:
+        for e, c in self.terms:
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
             merged[e] = merged.get(e, 0) + c
-        self.terms: tuple[tuple[int, int], ...] = tuple(
+        object.__setattr__(self, "terms", tuple(
             sorted(((e, c) for e, c in merged.items() if c), reverse=True)
-        )
+        ))
 
     @property
     def degree(self) -> int | float:
@@ -81,12 +83,6 @@ class IntPoly:
         for e, c in self.terms:
             out[e] = c
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((IntPoly, self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

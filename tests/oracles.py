@@ -92,6 +92,18 @@ def naive_factors(p: int) -> list[int]:
     return out
 
 
+def reverse_bits(a: int) -> int:
+    """X^deg(a) * a(1/X) for a > 0: bit e of a moves to bit deg(a) - e.
+    With a(0) = 1 it keeps the degree and maps a's irreducible factors
+    onto their own reciprocals."""
+    n, out = a.bit_length() - 1, 0
+    while a:
+        low = a & -a
+        out |= 1 << (n + 1 - low.bit_length())
+        a ^= low
+    return out
+
+
 def _sparse_chain(p: int):
     """(m, sqr_mod) for a squaring chain over p, the slow paths' own chain.
 
@@ -102,15 +114,15 @@ def _sparse_chain(p: int):
     a sparse m the quotient is applied one top-gap step at a time, which
     costs (terms - 1) shifted XORs and retires ``gap`` bits; a dense m takes
     plain remainders."""
-    from pentaswan.gf2poly import _exponents, _rem, _reverse, _sqr
+    from pentaswan.gf2poly import _exponents, _rem, _sqr
 
     def gap(m):
         exps = _exponents(m)
         return exps[0] - exps[1] if len(exps) > 1 else exps[0]
 
     m = p
-    if p & 1 and p.bit_count() <= 8 and gap(_reverse(p)) > gap(p):
-        m = _reverse(p)
+    if p & 1 and p.bit_count() <= 8 and gap(reverse_bits(p)) > gap(p):
+        m = reverse_bits(p)
     exps = _exponents(m)
     if len(exps) > 8 or 2 * gap(m) <= len(exps):
         return m, lambda a: _rem(_sqr(a), m)

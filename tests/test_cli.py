@@ -105,24 +105,24 @@ def test_test_usage_errors(capsys):
 def test_disc_both_routes_agree(capsys):
     code, out, _ = run(capsys, "disc", "--n", "7", "--s", "2")
     assert code == 0
-    assert out == "closed_form: 1\nresultant: 1\nagree\n"
+    assert out == "closed_form: 1\ndiscriminant_mod8: 1\nagree\n"
     code, out, _ = run(capsys, "disc", "--n", "7", "--s", "2", "--format", "json")
     assert code == 0
-    assert out == '{"agree": true, "closed_form": 1, "resultant": 1}\n'
+    assert out == '{"agree": true, "closed_form": 1, "discriminant_mod8": 1}\n'
 
 
 def test_disc_resultant_only_from_hex(capsys):
     p = pent_poly(PentShape(11, 2))
     code, out, _ = run(capsys, "disc", "--poly", p.to_hex())
-    assert code == 0 and "resultant: 5" in out
+    assert code == 0 and "discriminant_mod8: 5" in out
     code, out, _ = run(capsys, "disc", "--poly", "7")
-    assert (code, out) == (0, "resultant: 5\n")
+    assert (code, out) == (0, "discriminant_mod8: 5\n")
 
 
 def test_disc_without_a_closed_form_prints_the_resultant_only(capsys):
     # odd s: no closed form, so no agreement line either
     code, out, _ = run(capsys, "disc", "--n", "13", "--s", "3")
-    assert (code, out) == (0, "resultant: 5\n")
+    assert (code, out) == (0, "discriminant_mod8: 5\n")
 
 
 def test_disc_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -74,6 +75,21 @@ def test_intpoly_normalization_and_ops():
     assert IntPoly(enumerate([5, 0, 0, 1])) == p
     assert p.to_dense() == [5, 0, 0, 1]
     assert p.derivative() == IntPoly([(2, 3)])
+
+
+def test_value_types_are_immutable_hashable_and_picklable():
+    for p in (IntPoly([(3, 1), (0, 5)]), BitPoly(0b1011)):
+        field = "terms" if isinstance(p, IntPoly) else "bits"
+        before, members = hash(p), {p}
+        with pytest.raises(AttributeError):
+            setattr(p, field, ((5, 1),) if field == "terms" else 7)
+        assert hash(p) == before and p in members
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert hash(pickle.loads(pickle.dumps(p))) == before
+    # equal coefficients, other types: never equal
+    assert BitPoly(0b11) != lift(BitPoly(0b11))
+    assert BitPoly(0b11) != 0b11 and 0b11 != BitPoly(0b11)
+    assert len({BitPoly(1), IntPoly([(0, 1)]), 1}) == 3
 
 
 def test_intpoly_reciprocal():
