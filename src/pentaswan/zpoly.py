@@ -2,10 +2,10 @@
 
 Everything here is arbitrary-precision and exact: power sums of the roots
 via Newton's identities (exact values; the CLI reduces them mod 2^k),
-resultants of a monic A and any B as B mod A followed by a subresultant
-remainder sequence of Ducos's steps alone, with Lazard's powers (every
-division exact and checked), and the polynomial discriminant reduced mod 8
-only after it has been computed exactly in Z.  For the equally gapped lift
+resultants of a monic A and any B as B mod A followed by the classical
+subresultant remainder sequence (every division exact and checked), and
+the polynomial discriminant reduced mod 8 only after it has been computed
+exactly in Z.  For the equally gapped lift
 X^n + X^(n-s) + X^(n-2s) + X^(n-3s) + 1 with n > 3s, Swan's technique
 shrinks that residue to the norm of a quadratic over a monic cubic (its
 reciprocal for even n) in Z/8, not exactly; any other F takes Res(F, F').
@@ -172,55 +172,21 @@ def _quo(c: int, d: int) -> int:
 
 
 def _exact_div(coeffs: list[int], d: int) -> list[int]:
-    out = []
-    for c in coeffs:
-        q, rr = divmod(c, d)
-        if rr:
-            raise ConsistencyError("subresultant division was not exact")
-        out.append(q)
-    return out
+    return [_quo(c, d) for c in coeffs]
 
 
-def _scale(p: list[int], num: int, den: int) -> list[int]:
-    # num * p / den, exactly; one scalar division when den divides num
-    q, rr = divmod(num, den)
-    return _exact_div([num * c for c in p], den) if rr else [q * c for c in p]
-
-
-def _lazard(x: int, y: int, n: int) -> int:
-    """x^n / y^(n-1) for n >= 1 (Lazard): square-and-multiply with a checked
-    exact division by y after every product.  Each x^k / y^(k-1) on the way
-    is integral when the result is, so nothing outgrows the result."""
-    c = x
-    for bit in bin(n)[3:]:
-        c = _quo(c * c, y)
-        if bit == "1":
-            c = _quo(c * x, y)
-    return c
-
-
-def _ducos_rem(a: list[int], b: list[int], h: int) -> tuple[list[int], int]:
-    """Ducos's step (J. Pure Appl. Algebra 145 (2000) 149-163) on consecutive
-    chain members a, b (dense, deg b >= 1) with principal coefficient h:
-    prem(a, b) / (lc(a) * h^delta) and the next principal coefficient
-    lc(b)^delta / h^(delta-1), with intermediates about the size of the
-    chain's own coefficients.  A pair outside a chain fails a checked division."""
-    d, e = len(a) - 1, len(b) - 1
-    lb, low = b[-1], b[:e]
-    c = _lazard(lb, h, d - e)
-    hj = _scale(low, -c, lb)  # H_e = c*X^e - c*b/lc(b)
-    acc = [c * x for x in a[:e]]  # c * (a mod X^e) + sum of a_j * H_j
-    for j in range(e, d):
-        if a[j]:
-            acc = [s + a[j] * y for s, y in zip(acc, hj)]
-        t, xh = hj[-1], [0] + hj[:-1]  # X*H_j = t*X^e + xh
-        if j < d - 1:  # H_(j+1) = X*H_j - t*b/lc(b)
-            hj = [y - z for y, z in zip(xh, _scale(low, t, lb))] if t else xh
-    quo = _exact_div(acc, a[-1])
-    r = _exact_div([lb * (x + y) - t * z for x, y, z in zip(quo, xh, low)], h)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b, for dense a, b with deg a >= deg b >= 1."""
+    db, lb = len(b) - 1, b[-1]
+    r = a[:]
+    for top in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        if c:
+            r[top - db:] = [x - c * y for x, y in zip(r[top - db:], b)]
     while r and r[-1] == 0:
         r.pop()
-    return r, c
+    return r
 
 
 def resultant(A: IntPoly, B: IntPoly) -> int:
@@ -228,12 +194,12 @@ def resultant(A: IntPoly, B: IntPoly) -> int:
     sequence.  For monic A with roots a_1..a_n (with multiplicity), it is
     the product of B(a_i), which is what makes it an independent check on
     root-product identities.  So B may be reduced modulo A first, exactly,
-    as A is monic; with deg b < deg a and lc(a) = 1, Ducos's step
-    (:func:`_ducos_rem`) from h = 1 is the plain entry step, and every step
-    is one.  Ducos's steps give Brown-Traub's exact remainders without their
-    lc(b)^(delta+1) blow-up; Lazard's powers give the principal
-    coefficients and the final constant, and cont(B) is split off.  Every
-    division is checked; an inexact one raises ConsistencyError.
+    as A is monic, and cont(B) is split off.  Then comes the classical
+    Brown-Traub/Collins chain: each step takes the pseudo-remainder
+    lc(b)^(delta+1) * a mod b and divides out g * h^delta, with g = lc(a)
+    and h the chain's principal coefficient; every degree drop delta is at
+    least 1, so h moves to g^delta / h^(delta-1).  Every division is
+    checked; an inexact one raises ConsistencyError.
 
     Requires monic A of degree >= 1 and nonzero B.
     """
@@ -254,14 +220,19 @@ def resultant(A: IntPoly, B: IntPoly) -> int:
     t = cb**d
     if cb > 1:
         b = [c // cb for c in b]
-    sign, h = 1, 1
+    sign, g, h = 1, 1, 1
     while len(b) > 1:
-        if (len(a) - 1) & (len(b) - 1) & 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
             sign = -sign
-        a, (b, h) = b, _ducos_rem(a, b, h)
+        a, b = b, _exact_div(_prem(a, b), g * h**delta)
+        g = a[-1]
+        h = _quo(g**delta, h ** (delta - 1))
     if not b:
         return 0  # nontrivial common factor
-    return sign * t * _lazard(b[0], h, len(a) - 1)
+    da = len(a) - 1
+    return sign * t * _quo(b[0] ** da, h ** (da - 1))
 
 
 _Triple = tuple[int, int, int]
@@ -362,11 +333,11 @@ def discriminant_mod8(F: IntPoly) -> int:
     (-1)^(n(n-1)/2) * Res(F, H).  For F exactly X^n + X^(n-s) + X^(n-2s) +
     X^(n-3s) + 1, n > 3s, Swan's reduction to a cubic (:func:`_swan_residue`)
     gives Res(F, H) mod 8 in Z/8; a repeated root gives 0.  On one core of a
-    2-vCPU Xeon (CPython 3.11) that takes 0.015-0.024 ms at n = 2999 and
-    0.022, 0.024 and 0.018 ms at (2998, 5), (2992, 3) and (256, 3), where
-    the exact Res(F, H) takes 0.3-1.7 s, 0.41 s, 0.22 s and 2.2 ms.  Any
-    other F, a near miss included, takes ``discriminant(F) % 8``, exact
-    until the end, as Z/8 is not a domain.
+    2-vCPU Xeon (CPython 3.11) that takes 0.010-0.015 ms at (2999, 2),
+    (2999, 7), (2998, 5), (2992, 3) and (256, 3), where the exact Res(F, H)
+    takes 0.29 s, 1.2 s, 0.64 s, 0.33 s and 2.8 ms.  Any other F, a near
+    miss included, takes ``discriminant(F) % 8``, exact until the end, as
+    Z/8 is not a domain.
     """
     if F.constant_term() != 1:
         raise ValueError("requires constant term 1")

@@ -365,9 +365,10 @@ def brown_traub_resultant(a: list[int], b: list[int]) -> int:
     """Resultant of a monic a and a nonzero b (dense low-to-high, no
     trailing zeros) by the classical Brown-Traub subresultant sequence:
     every step forms the full pseudo-remainder lc(b)^(delta+1) * a mod b
-    and then divides out g * h^delta.  This is the slow path that Ducos's
-    steps replaced in zpoly.resultant, kept as it was, with its own copies
-    of the helpers."""
+    and then divides out g * h^delta.  zpoly.resultant runs the same chain,
+    so this is a reference, not an independent check: it has its own copies
+    of the helpers and no B mod A pre-reduction.  sylvester_resultant is
+    the independent one."""
 
     def content(coeffs):
         g = 0

@@ -251,31 +251,38 @@ def test_resultant_matches_sylvester_determinant():
         assert resultant(A, B) == expected, (A, B)
 
 
-@pytest.fixture
-def ducos_steps(monkeypatch):
-    """Records (a, b, h) of every Ducos step that resultant takes, the
-    first step of each remainder sequence included."""
-    steps = []
-    step = zpoly._ducos_rem
+def test_resultant_matches_sylvester_on_every_small_shape():
+    # zero tolerance against a determinant that shares no step with the
+    # chain: every pentanomial lift with 7 <= n < 25, either parity of s,
+    # for both discriminant routes, whose sparse chains have degree gaps
+    checked = 0
+    for n in range(7, 25):
+        for s in range(1, (n - 1) // 3 + 1):
+            F = pent_lift(n, s)
+            for B in (h_poly(F), F.derivative()):
+                expected = oracles.sylvester_resultant(F.to_dense(), B.to_dense())
+                assert resultant(F, B) == expected, (n, s, B)
+                checked += 1
+    assert checked == 162
 
-    def recording(a, b, h):
-        steps.append((a, b, h))
-        return step(a, b, h)
 
-    monkeypatch.setattr(zpoly, "_ducos_rem", recording)
-    return steps
-
-
-def gap_steps(steps):
-    """How many steps had a degree gap deg a - deg b of at least 2."""
-    return sum(len(a) - len(b) >= 2 for a, b, _ in steps)
+@pytest.mark.parametrize("helper", ["_exact_div", "_quo"])
+def test_an_inexact_division_in_the_chain_raises(monkeypatch, helper):
+    # the chain hands a checked division a wrong scalar, 1000003 times the
+    # right one: the remainder's divisor g * h^delta through _exact_div, or
+    # every scalar one (h and the final constant) through _quo
+    divide = getattr(zpoly, helper)
+    monkeypatch.setattr(zpoly, helper, lambda x, d: divide(x, d * 1000003))
+    F = pent_lift(79, 13)
+    with pytest.raises(ConsistencyError):
+        resultant(F, h_poly(F))
 
 
 def brown_traub(A, B):
     return oracles.brown_traub_resultant(A.to_dense(), B.to_dense())
 
 
-def test_resultant_matches_brown_traub_on_every_small_shape(ducos_steps):
+def test_resultant_matches_brown_traub_on_every_small_shape():
     # every pentanomial lift with 7 <= n < 80, either parity of s, against
     # both discriminant routes: sparse, so the chains have degree gaps
     checked = 0
@@ -286,7 +293,6 @@ def test_resultant_matches_brown_traub_on_every_small_shape(ducos_steps):
                 assert resultant(F, B) == brown_traub(F, B), (n, s)
                 checked += 1
     assert checked == 2 * sum((n - 1) // 3 for n in range(7, 80))
-    assert gap_steps(ducos_steps) > 1000
 
 
 def random_int_poly(rng, deg, kind, monic):
@@ -313,7 +319,7 @@ def random_pair(rng, i):
     return A, random_int_poly(rng, db, kind, monic=False), None
 
 
-def test_resultant_matches_brown_traub_on_random_pairs(ducos_steps):
+def test_resultant_matches_brown_traub_on_random_pairs():
     rng = random.Random(27)
     zeros = 0
     for i in range(1080):
@@ -324,46 +330,6 @@ def test_resultant_matches_brown_traub_on_random_pairs(ducos_steps):
             assert value == expected, (i, A, B)
             zeros += 1
     assert zeros == 360
-    assert gap_steps(ducos_steps) > 100
-
-
-def test_ducos_step_raises_on_a_pair_outside_a_chain(ducos_steps):
-    F = pent_lift(79, 13)
-    resultant(F, h_poly(F))
-    a, b, h = next((a, b, h) for a, b, h in ducos_steps if len(a) - len(b) >= 2)
-    r, c = zpoly._ducos_rem(a, b, h)
-    assert r and c
-    with pytest.raises(ConsistencyError):
-        zpoly._ducos_rem(a, b, h * 1000003)  # wrong h
-    with pytest.raises(ConsistencyError):
-        zpoly._ducos_rem(a[:-1] + [a[-1] * 1000003], b, h)  # wrong g = lc(a)
-
-
-def test_every_remainder_step_is_a_ducos_step(ducos_steps):
-    # the first step starts from A itself, with B reduced mod A, and h = 1;
-    # each later step starts from the remainder of the step before
-    F = pent_lift(79, 13)
-    for B in (h_poly(F), IntPoly([(90, 5)] + list(h_poly(F).terms))):
-        ducos_steps.clear()
-        assert resultant(F, B) == brown_traub(F, B)
-        (a, b, h), *rest = ducos_steps
-        assert (a, h) == (F.to_dense(), 1) and len(b) < len(a)
-        for (_, prev, _), (a, _, _) in zip(ducos_steps, rest):
-            assert a == prev
-        assert len(rest) > 10
-
-
-def test_lazard_equals_the_power_quotient():
-    rng = random.Random(28)
-    for n in range(1, 21):
-        y = rng.randrange(2, 1 << 40)
-        x = y * rng.randrange(1, 1 << 40)
-        assert zpoly._lazard(x, y, n) == x**n // y ** (n - 1)
-        # y does not divide x, yet x^n / y^(n-1) is integral for n <= 20
-        assert zpoly._lazard(5 * 6**19, 6**20, n) == (5 * 6**19) ** n // 6 ** (20 * (n - 1))
-    assert zpoly._lazard(7, 1, 20) == 7**20
-    with pytest.raises(ConsistencyError):
-        zpoly._lazard(5 * 6**19, 6**20, 21)
 
 
 def monic_polys(min_degree):
@@ -441,10 +407,10 @@ def test_discriminant_routes_agree(swan_calls):
         swan_calls.clear()
 
 
-def test_swan_reduction_equals_the_resultant(ducos_steps):
+def test_swan_reduction_equals_the_resultant():
     # zero tolerance, as full integers: every lift with 7 <= n < 100, either
     # parity of n and of s, then a seeded sample of 40 with 120 <= n < 300,
-    # whose resultants take Ducos steps with wide degree gaps
+    # whose sparse lifts give chains with wide degree gaps
     shapes = [(n, s) for n in range(7, 100) for s in range(1, (n - 1) // 3 + 1)]
     assert len(shapes) == 1581
     shapes += random.Random(32).sample(
@@ -453,7 +419,6 @@ def test_swan_reduction_equals_the_resultant(ducos_steps):
     for n, s in shapes:
         F = pent_lift(n, s)
         assert oracles.swan_resultant(n, s) == resultant(F, h_poly(F)), (n, s)
-    assert gap_steps(ducos_steps) > 1000
 
 
 def test_swan_residue_matches_the_exact_reduction():
