@@ -3,7 +3,12 @@
 Thin adapters only: every subcommand parses flags, calls the library, and
 formats the result.  Exit codes: 0 success, 1 usage error, 2 internal
 invariant violation (two routes that must agree did not -- that would be a
-finding, not a usage problem).
+finding, not a usage problem), 3 interrupted: a pool worker died, killed or
+out of memory, and ``search --out`` holds the rows written before.  An
+OSError, such as a full disk, is exit 1 even after rows were written, and
+Ctrl-C ends ``search`` or ``verify`` as Python does, with a traceback and
+the status of SIGINT.  In each case ``search --resume`` continues from
+the rows written.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 
 from . import __version__, gf2poly, search, swan, verify, zpoly
@@ -21,6 +27,7 @@ from .zpoly import ConsistencyError
 
 USAGE_ERROR = 1
 INVARIANT_VIOLATION = 2
+INTERRUPTED = 3
 
 
 class _UsageError(Exception):
@@ -32,29 +39,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _one_polynomial(args) -> None:
-    # --poly, --s and --k each pick the polynomial; two of them would leave
-    # one silently ignored
-    shape = [f"--{name}" for name in ("n", "s", "k") if getattr(args, name, None) is not None]
-    if getattr(args, "poly", None) is not None and shape:
-        raise _UsageError(f"--poly names the polynomial alone, without {' or '.join(shape)}")
-    if args.s is not None and getattr(args, "k", None) is not None:
+# the flags that name a polynomial of each kind: hex, pentanomial, trinomial
+_SELECTORS = {"p": ("--poly",), "s": ("--n", "--s"), "k": ("--n", "--k")}
+_HELP = {"--poly": "hex coefficient string, X^0 coefficient first",
+         "--k": "trinomial exponent (X^n+X^k+1)"}
+
+
+def _polynomial(args) -> BitPoly | PentShape | tuple[int, int]:
+    """The one polynomial that the flags name: a ``BitPoly`` from --poly,
+    a ``PentShape`` from --n and --s, or the trinomial X^n + X^k + 1 as
+    (n, k) from --n and --k.  Naming none, or two, is a usage error."""
+    given = [name for name in ("poly", "n", "s", "k") if getattr(args, name, None) is not None]
+    if "poly" in given and len(given) > 1:
+        raise _UsageError("--poly names the polynomial alone, without "
+                          + " or ".join(f"--{name}" for name in given[1:]))
+    if "s" in given and "k" in given:
         raise _UsageError("--s (pentanomial) and --k (trinomial) name different polynomials")
-
-
-def _poly_from_args(args) -> BitPoly:
-    _one_polynomial(args)
-    if args.poly is not None:
+    if given == ["poly"]:
         return BitPoly.from_hex(args.poly)
-    if args.n is None:
-        raise _UsageError("need --poly or --n")
-    if args.k is not None:
+    if given == ["n", "s"]:
+        return PentShape(args.n, args.s)
+    if given == ["n", "k"]:
         if not args.n > args.k > 0:
             raise _UsageError("trinomial needs n > k > 0")
-        return BitPoly.from_exponents([args.n, args.k, 0])
-    if args.s is None:
-        raise _UsageError("need --s (pentanomial), --k (trinomial) or --poly")
-    return gf2poly.pent_poly(PentShape(args.n, args.s))
+        return args.n, args.k
+    raise _UsageError(f"{args.command} needs "
+                      + ", or ".join(" and ".join(_SELECTORS[kind]) for kind in args.kinds))
+
+
+def _bits(polynomial: BitPoly | PentShape | tuple[int, int]) -> BitPoly:
+    if isinstance(polynomial, PentShape):
+        return gf2poly.pent_poly(polynomial)
+    return BitPoly.from_exponents([*polynomial, 0]) if isinstance(polynomial, tuple) else polynomial
 
 
 def _parse_mod(text: str) -> int | None:
@@ -85,8 +101,8 @@ def _emit(args, human: str, machine: dict) -> None:
 
 
 def _cmd_predict(args) -> int:
-    _one_polynomial(args)
-    if args.k is not None:
+    shape = _polynomial(args)
+    if isinstance(shape, tuple):
         verdict = swan.trinomial_parity(args.n, args.k)
         name = f"X^{args.n}+X^{args.k}+1"
         human = (
@@ -97,9 +113,6 @@ def _cmd_predict(args) -> int:
         _emit(args, human, {"n": args.n, "k": args.k, "parity": verdict.parity,
                             "implies_reducible": verdict.implies_reducible})
         return 0
-    if args.s is None:
-        raise _UsageError("predict needs --n with --s (pentanomial) or --k (trinomial)")
-    shape = PentShape(args.n, args.s)
     if args.s % 2:
         raise OutOfTheoryError("no closed form for odd s; use the brute-force 'test'")
     certified = swan.thm1_reducible(shape)
@@ -124,7 +137,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    p = _poly_from_args(args)
+    p = _bits(_polynomial(args))
     if p.degree < 1:
         raise _UsageError("polynomial must have degree at least 1")
     total, parity = gf2poly.factor_count(p)
@@ -144,18 +157,11 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    _one_polynomial(args)
+    polynomial = _polynomial(args)
     routes: dict[str, int] = {}
-    if args.poly is None:
-        if args.n is None or args.s is None:
-            raise _UsageError("disc needs --n and --s, or --poly")
-        shape = PentShape(args.n, args.s)
-        if args.n % 2 and args.s % 2 == 0:
-            routes["closed_form"] = swan.pent_discriminant_closed_form(shape)
-        F = zpoly.lift(gf2poly.pent_poly(shape))
-    else:
-        F = zpoly.lift(BitPoly.from_hex(args.poly))
-    routes["discriminant_mod8"] = zpoly.discriminant_mod8(F)
+    if isinstance(polynomial, PentShape) and args.n % 2 and args.s % 2 == 0:
+        routes["closed_form"] = swan.pent_discriminant_closed_form(polynomial)
+    routes["discriminant_mod8"] = zpoly.discriminant_mod8(zpoly.lift(_bits(polynomial)))
     lines = [f"{name}: {value}" for name, value in routes.items()]
     agree = len(set(routes.values())) == 1
     if len(routes) > 1:
@@ -167,7 +173,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_powersums(args) -> int:
-    p = _poly_from_args(args)
+    p = _bits(_polynomial(args))
     modulus = _parse_mod(args.mod)
     values = zpoly.power_sums(zpoly.lift(p), args.upto)
     if modulus is not None:
@@ -266,33 +272,22 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("predict", _cmd_predict, "closed-form parity / reducibility verdicts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int, help="trinomial exponent (predict for X^n+X^k+1)")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-
-    p = add("test", _cmd_test, "brute-force irreducibility and factor count")
-    p.add_argument("--poly", help="hex coefficient string, X^0 coefficient first")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--format", choices=("human", "json"), default="human")
-
-    p = add("disc", _cmd_disc, "discriminant of the lift mod 8; odd n, even s also by closed form")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--poly")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-
-    p = add("powersums", _cmd_powersums, "power sums of the roots of the integer lift")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--poly")
-    p.add_argument("--upto", type=int, required=True)
+    # the polynomial commands, each with the flags of the kinds it takes,
+    # which its missing-polynomial message names in this order
+    for name, fn, kinds, helptext in (
+        ("predict", _cmd_predict, "sk", "closed-form parity / reducibility verdicts"),
+        ("test", _cmd_test, "psk", "brute-force irreducibility and factor count"),
+        ("disc", _cmd_disc, "sp",
+         "discriminant of the lift mod 8; odd n, even s also by closed form"),
+        ("powersums", _cmd_powersums, "psk", "power sums of the roots of the integer lift"),
+    ):
+        p = add(name, fn, helptext)
+        p.set_defaults(kinds=kinds)
+        for flag in dict.fromkeys(flag for kind in kinds for flag in _SELECTORS[kind]):
+            p.add_argument(flag, type=None if flag == "--poly" else int, help=_HELP.get(flag))
+        p.add_argument("--format", choices=("human", "json"), default="human")
+    p.add_argument("--upto", type=int, required=True)  # powersums, the loop's last
     p.add_argument("--mod", default="exact", help="'exact' or '2^k'")
-    p.add_argument("--format", choices=("human", "json"), default="human")
 
     p = add("search", _cmd_search, "survey a range of shapes, emitting CSV")
     p.add_argument("--n-min", type=int, default=7)
@@ -334,6 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return INVARIANT_VIOLATION
+    except BrokenProcessPool:  # a worker died: killed, or out of memory
+        out = getattr(args, "out", None)
+        print("interrupted: a worker process died"
+              + (f"; --resume continues from the rows in {out}" if out else ""), file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -221,8 +221,9 @@ def _root_row(d: int, h: int, w: int) -> bytearray:
 
 
 @cache
-def _orbit_leaders(M: int) -> list[int]:
-    """The least m in [1, M) of each orbit {m 2^j mod M}: 2m marks m's y, as z3[2k] = 2 z3[k]."""
+def _orbit_leaders(M: int) -> array:
+    """The least m in [1, M) of each orbit {m 2^j mod M}: 2m marks m's y, as
+    z3[2k] = 2 z3[k].  Cached for every w at this M, in 4-byte entries."""
     seen, leaders = bytearray(M), []
     for m in range(1, M):
         if not seen[m]:
@@ -230,7 +231,7 @@ def _orbit_leaders(M: int) -> list[int]:
             while not seen[m]:
                 seen[m] = 1
                 m = 2 * m % M
-    return leaders
+    return array("I", leaders)
 
 
 def _build_root_rows() -> None:

@@ -1,9 +1,22 @@
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
+
+
+@pytest.fixture(scope="module")
+def reference_pool():
+    """Two spawned worker processes for one slow half of a differential
+    test while this process computes the other; the comparison and its
+    asserts stay here.  One pool a module, not one a session: its workers
+    would outlive the module and fail the asserts that a run leaves no
+    child process behind."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool
 
 
 def pytest_addoption(parser):

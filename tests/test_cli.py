@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import pentaswan
-from pentaswan import cli
+from pentaswan import cli, search, verify
 from pentaswan.gf2poly import PentShape, factor_count, pent_poly
-from pentaswan.search import read_csv, stats, survey, enumerate_shapes
+from pentaswan.search import classify_shape, read_csv, stats, survey, enumerate_shapes
+from pentaswan.verify import _thm1_column
 from pentaswan.swan import pent_discriminant_closed_form
 from pentaswan.zpoly import lift, power_sums
 
@@ -197,6 +199,17 @@ def test_powersums_past_the_digit_limit_prints_nothing(capsys, fmt):
     ("disc", "--poly", "7", "--n", "7"),
     ("powersums", "--poly", "7", "--n", "9", "--s", "2", "--upto", "3"),
     ("powersums", "--n", "9", "--s", "2", "--k", "4", "--upto", "3"),
+    # every other pair of selectors, --poly with a part of one, and all three
+    ("test", "--poly", "7", "--n", "9", "--k", "4"),
+    ("test", "--poly", "7", "--n", "9"),
+    ("test", "--poly", "7", "--s", "2"),
+    ("test", "--poly", "7", "--n", "9", "--s", "2", "--k", "4"),
+    ("test", "--s", "2", "--k", "4"),
+    ("disc", "--poly", "7", "--s", "2"),
+    ("powersums", "--poly", "7", "--n", "9", "--k", "4", "--upto", "3"),
+    ("powersums", "--poly", "7", "--n", "9", "--upto", "3"),
+    ("powersums", "--poly", "7", "--k", "4", "--upto", "3"),
+    ("powersums", "--poly", "7", "--n", "9", "--s", "2", "--k", "4", "--upto", "3"),
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_two_polynomial_selectors_are_a_usage_error(capsys, argv):
     # each would answer for one polynomial and silently ignore the other
@@ -204,6 +217,47 @@ def test_two_polynomial_selectors_are_a_usage_error(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith(("error: --poly names the polynomial alone",
                            "error: --s (pentanomial) and --k (trinomial)"))
+
+
+NEEDS = {
+    "predict": "predict needs --n and --s, or --n and --k",
+    "test": "test needs --poly, or --n and --s, or --n and --k",
+    "disc": "disc needs --n and --s, or --poly",
+    "powersums": "powersums needs --poly, or --n and --s, or --n and --k",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    (command, *partial) for command in NEEDS
+    for partial in [(), ("--n", "9"), ("--s", "2"), ("--k", "4")]
+    if not (command == "disc" and "--k" in partial)
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_a_missing_polynomial_is_a_usage_error(capsys, argv):
+    extra = ("--upto", "3") if argv[0] == "powersums" else ()
+    assert run(capsys, *argv, *extra) == (1, "", f"error: {NEEDS[argv[0]]}\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "test", "powersums"])
+@pytest.mark.parametrize("n, k", [(3, 5), (7, 7), (7, 0), (7, -2)])
+def test_a_trinomial_needs_n_above_k_above_0(capsys, command, n, k):
+    extra = ("--upto", "3") if command == "powersums" else ()
+    assert run(capsys, command, "--n", str(n), "--k", str(k), *extra) == (
+        1, "", "error: trinomial needs n > k > 0\n")
+
+
+def test_each_polynomial_command_takes_the_flags_of_its_kinds_only(capsys):
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    common = {"-h", "--help", "--format"}
+    assert {name: set(subparsers[name]._option_string_actions) - common for name in NEEDS} == {
+        "predict": {"--n", "--s", "--k"},
+        "test": {"--poly", "--n", "--s", "--k"},
+        "disc": {"--n", "--s", "--poly"},
+        "powersums": {"--poly", "--n", "--s", "--k", "--upto", "--mod"},
+    }
+    for argv in [("predict", "--poly", "7"), ("disc", "--n", "9", "--k", "4")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 # --- search / stats --------------------------------------------------------------------
@@ -492,6 +546,44 @@ def test_search_resume_after_sigkill_matches_one_shot(capsys, tmp_path):
     assert row_keys(out_path.read_bytes()) == row_keys(direct)
 
 
+def _classify_dying_at_181(shape, prune=True):
+    # a worker dies mid-run, as one that the OOM killer ends does
+    if shape.n == 181:
+        os._exit(9)
+    return classify_shape(shape, prune)
+
+
+def _thm1_column_dying_at_21(n):
+    if n == 21:
+        os._exit(9)
+    return _thm1_column(n)
+
+
+def test_a_dead_search_worker_exits_3_and_resume_completes_the_run(capfd, tmp_path, monkeypatch):
+    out_path = tmp_path / "crashed.csv"
+    args = ("search", "--n-max", "241", "--jobs", "2", "--out", str(out_path))
+    monkeypatch.setattr(search, "classify_shape", _classify_dying_at_181)
+    code, out, err = run(capfd, *args)
+    assert (code, out) == (3, "")
+    assert err == ("interrupted: a worker process died; --resume continues from the rows "
+                   f"in {out_path}\n")
+    assert multiprocessing.active_children() == []
+    assert all(n < 181 for n, _, _ in row_keys(out_path.read_bytes()))
+    monkeypatch.undo()
+    assert run(capfd, *args, "--resume")[0] == 0
+    assert row_keys(out_path.read_bytes()) == [
+        record_key(r) for r in survey(enumerate_shapes(7, 241))]
+
+
+def test_a_dead_verify_worker_exits_3(capfd, monkeypatch):
+    monkeypatch.setattr(verify, "_thm1_column", _thm1_column_dying_at_21)
+    code, out, err = run(capfd, "verify", "--parity-max", "40", "--thm1-max", "40",
+                         "--disc-max", "20", "--trinomial-max", "30", "--powersum-max", "40",
+                         "--pair-max", "30", "--jobs", "2")
+    assert (code, out, err) == (3, "", "interrupted: a worker process died\n")
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command", [["search", "--n-max", "20"],
                                      ["verify", "--parity-max", "20", "--thm1-max", "20"]])
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -649,8 +741,6 @@ def test_verify_that_checks_nothing_exits_1(capsys):
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_verify_failure_exits_2_in_either_format(capsys, monkeypatch, fmt):
-    from pentaswan import verify
-
     bad = verify.CheckResult("planted", checked=3, failures=["(n=7, s=2): wrong"])
     monkeypatch.setattr(verify, "run_all", lambda **kwargs: [bad])
     code, out, _ = run(capsys, "verify", "--format", fmt)

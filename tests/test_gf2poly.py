@@ -1,11 +1,9 @@
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -219,14 +217,6 @@ def test_reciprocal_preserves_irreducibility():
 
 
 # --- Berlekamp factor count, against the distinct-degree oracle -----------------
-
-@pytest.fixture(scope="module")
-def reference_pool():
-    """Two worker processes for the slow oracle halves of differential
-    tests; the library half runs meanwhile in this process."""
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        yield pool
-
 
 def ranked_quotients(f):
     """The squarefree quotients f / gcd(f, f') that factor_count ranks."""
@@ -677,6 +667,24 @@ def test_zech_tables_are_compact_and_exact():
     for d in range(2, gf2poly.ROOT_DEPTH + 1):
         z3 = gf2poly._zech3(d)
         assert z3.typecode == "I" and z3.tolist() == zech3(d), d
+
+
+def test_orbit_leaders_are_compact_and_exact():
+    # against a plain walk of each orbit {m 2^j mod M} into a set; at the
+    # Mersenne prime M = 2^19 - 1, doubling rotates 19 bits, so every orbit
+    # has 19 elements and its leader is the least rotation
+    for M in (1, 3, 1365, 37449, 2**19 - 1):
+        leaders, seen = [], set()
+        for m in range(1, M):
+            if m not in seen:
+                leaders.append(m)
+                while m not in seen:
+                    seen.add(m)
+                    m = 2 * m % M
+        got = gf2poly._orbit_leaders(M)
+        assert got.typecode == "I" and got.tolist() == leaders, M
+    assert len(got) == (M - 1) // 19
+    assert all(m == min(m << j & M | m >> 19 - j for j in range(19)) for m in got)
 
 
 def test_zech_table_build_holds_no_power_table():

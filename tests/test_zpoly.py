@@ -319,13 +319,17 @@ def random_pair(rng, i):
     return A, random_int_poly(rng, db, kind, monic=False), None
 
 
-def test_resultant_matches_brown_traub_on_random_pairs():
+def test_resultant_matches_brown_traub_on_random_pairs(reference_pool):
     rng = random.Random(27)
+    pairs = [random_pair(rng, i) for i in range(1080)]
+    # the oracle's half runs in the pool while this process runs the library's
+    oracle = reference_pool.map(oracles.brown_traub_resultant,
+                                [A.to_dense() for A, _, _ in pairs],
+                                [B.to_dense() for _, B, _ in pairs], chunksize=30)
     zeros = 0
-    for i in range(1080):
-        A, B, expected = random_pair(rng, i)
+    for i, ((A, B, expected), reference) in enumerate(zip(pairs, oracle, strict=True)):
         value = resultant(A, B)
-        assert value == brown_traub(A, B), (i, A, B)
+        assert value == reference, (i, A, B)
         if expected is not None:
             assert value == expected, (i, A, B)
             zeros += 1
@@ -407,7 +411,7 @@ def test_discriminant_routes_agree(swan_calls):
         swan_calls.clear()
 
 
-def test_swan_reduction_equals_the_resultant():
+def test_swan_reduction_equals_the_resultant(reference_pool):
     # zero tolerance, as full integers: every lift with 7 <= n < 100, either
     # parity of n and of s, then a seeded sample of 40 with 120 <= n < 300,
     # whose sparse lifts give chains with wide degree gaps
@@ -416,9 +420,11 @@ def test_swan_reduction_equals_the_resultant():
     shapes += random.Random(32).sample(
         [(n, s) for n in range(120, 300) for s in range(1, (n - 1) // 3 + 1)], 40
     )
-    for n, s in shapes:
-        F = pent_lift(n, s)
-        assert oracles.swan_resultant(n, s) == resultant(F, h_poly(F)), (n, s)
+    # the library's half runs in the pool while this process runs the oracle's
+    lifts = [pent_lift(n, s) for n, s in shapes]
+    library = reference_pool.map(resultant, lifts, [h_poly(F) for F in lifts], chunksize=8)
+    for (n, s), value in zip(shapes, library, strict=True):
+        assert oracles.swan_resultant(n, s) == value, (n, s)
 
 
 def test_swan_residue_matches_the_exact_reduction():
