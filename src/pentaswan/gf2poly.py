@@ -344,11 +344,6 @@ class BitPoly:
         return f"BitPoly({terms})"
 
 
-ZERO = BitPoly(0)
-ONE = BitPoly(1)
-X = BitPoly(2)
-
-
 class FactorCount(NamedTuple):
     """Irreducible-factor count (with multiplicity) and its parity."""
 

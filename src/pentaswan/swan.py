@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 PARITIES = ("even", "odd")
-SOURCES = ("closed_form", "discriminant", "brute_force")
 
 
 class OutOfTheoryError(ValueError):
@@ -47,7 +46,7 @@ class OutOfTheoryError(ValueError):
 
 @dataclass(frozen=True)
 class ParityVerdict:
-    """Parity of the irreducible-factor count, plus where it came from.
+    """Parity of the irreducible-factor count, "even" or "odd".
 
     ``implies_reducible`` is True exactly for even parity.  Odd parity is
     necessary for irreducibility but never sufficient, so an odd verdict is
@@ -55,13 +54,10 @@ class ParityVerdict:
     """
 
     parity: str
-    source: str
 
     def __post_init__(self):
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}")
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}")
 
     @property
     def implies_reducible(self) -> bool:
@@ -85,7 +81,7 @@ def parity_from_discriminant(deg_f: int, d_mod8: int) -> ParityVerdict:
             "an even discriminant means the input was not squarefree"
         )
     t_parity = deg_f % 2 if d_mod8 == 1 else (deg_f + 1) % 2
-    return ParityVerdict("odd" if t_parity else "even", "discriminant")
+    return ParityVerdict("odd" if t_parity else "even")
 
 
 def trinomial_parity(n: int, k: int) -> ParityVerdict:
@@ -112,7 +108,7 @@ def trinomial_parity(n: int, k: int) -> ParityVerdict:
         even = n % 8 in (3, 5)
     else:
         even = n % 8 in (1, 7)
-    return ParityVerdict("even" if even else "odd", "closed_form")
+    return ParityVerdict("even" if even else "odd")
 
 
 def _require_closed_form_shape(shape: PentShape) -> None:
@@ -130,23 +126,19 @@ def pent_discriminant_closed_form(shape: PentShape) -> int:
 
 
 def pent_parity(shape: PentShape) -> ParityVerdict:
-    """Factor-count parity of the (n, s) pentanomial for odd n, even s:
-    odd iff n = +-1 (mod 8)."""
-    _require_closed_form_shape(shape)
-    odd = shape.n % 8 in (1, 7)
-    return ParityVerdict("odd" if odd else "even", "closed_form")
+    """Factor-count parity of the (n, s) pentanomial for odd n, even s: the
+    closed-form discriminant through the bridge, odd iff n = +-1 (mod 8)."""
+    return parity_from_discriminant(shape.n, pent_discriminant_closed_form(shape))
 
 
 def thm1_reducible(shape: PentShape) -> bool:
     """Certified-reducible test for even s: True when n is even (the
-    pentanomial is then a perfect square) or n = +-3 (mod 8) (even factor
-    count).  False means no certificate from the closed form, not
-    irreducible."""
+    pentanomial is then a perfect square) or the closed-form discriminant
+    is not 1 mod 8 (an even factor count, by the bridge).  False means no
+    certificate from the closed form, not irreducible."""
     if shape.s % 2:
         raise OutOfTheoryError(f"closed form needs even s, got s={shape.s}")
-    if shape.n % 2 == 0:
-        return True
-    return shape.n % 8 in (3, 5)
+    return shape.n % 2 == 0 or pent_discriminant_closed_form(shape) != 1
 
 
 def decimation_reducible(shape: PentShape) -> bool:
@@ -180,4 +172,4 @@ def decimation_reducible(shape: PentShape) -> bool:
 def brute_force_parity(p: BitPoly) -> ParityVerdict:
     """Observed parity from an actual factor count (``gf2poly.factor_count``:
     gcd(f, f') and Berlekamp's rank)."""
-    return ParityVerdict(gf2poly.factor_count(p).parity, "brute_force")
+    return ParityVerdict(gf2poly.factor_count(p).parity)

@@ -12,11 +12,8 @@ import pytest
 from pentaswan import _pool, gf2poly, search
 from pentaswan.gf2poly import (
     BitPoly,
-    ONE,
     PentShape,
     ShapeError,
-    X,
-    ZERO,
     factor_count,
     gcd,
     is_irreducible,
@@ -28,6 +25,8 @@ from pentaswan.gf2poly import (
 from pentaswan.search import enumerate_shapes
 
 import oracles
+
+ZERO, ONE, X = BitPoly(0), BitPoly(1), BitPoly(2)
 
 
 def rem(a, m):
@@ -470,14 +469,13 @@ def production_shapes():
     return rng.sample(oracles.table2_pairs(2401), 24) + production_survivors(rng, 48)
 
 
-def test_survivor_decision_matches_rabin_chain_at_production_degrees():
+def test_survivor_decision_matches_rabin_chain_at_production_degrees(reference_pool):
     shapes = production_shapes()
-    verdicts = []
-    for n, s in shapes:
-        p = pent_poly(PentShape(n, s)).bits
-        verdict = prefilter_then_survivor(p)
-        assert verdict == oracles.rabin_smallest_factor_degree(p, 13), (n, s)
-        verdicts.append(verdict)
+    polys = [pent_poly(PentShape(n, s)).bits for n, s in shapes]
+    chain = reference_pool.map(partial(oracles.rabin_smallest_factor_degree, depth=13), polys)
+    verdicts = [prefilter_then_survivor(p) for p in polys]
+    for shape, verdict, expected in zip(shapes, verdicts, chain):
+        assert verdict == expected, shape
     assert verdicts[:24] == [n for n, _ in shapes[:24]]
     assert None in verdicts[24:]
 
