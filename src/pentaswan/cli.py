@@ -242,8 +242,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_stats(args) -> int:
     with open(args.input) if args.input != "-" else nullcontext(sys.stdin) as f:
-        records = search.read_csv(f)
-    print(json.dumps(search.stats(records), indent=2, sort_keys=True))
+        report = search.stats(search._csv_records(f))  # one row in memory at a time
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

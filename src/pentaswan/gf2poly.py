@@ -351,6 +351,18 @@ class FactorCount(NamedTuple):
     parity: str  # "even" | "odd"
 
 
+def _shape_fault(n: int, s: int) -> str | None:
+    """Why the integers (n, s) are no ``PentShape``, or None when they are
+    one; ``search`` checks survey rows with it, building no shape."""
+    if n < 7:
+        return f"n must be at least 7, got n={n}"
+    if s < 1:
+        return f"s must be positive, got s={s}"
+    if n <= 3 * s:
+        return f"need n > 3s for distinct exponents, got n={n}, s={s}"
+    return None
+
+
 @dataclass(frozen=True)
 class PentShape:
     """Degree/gap pair (n, s) of the pentanomial X^n + X^(n-s) + X^(n-2s)
@@ -361,14 +373,9 @@ class PentShape:
     s: int
 
     def __post_init__(self):
-        if self.n < 7:
-            raise ShapeError(f"n must be at least 7, got n={self.n}")
-        if self.s < 1:
-            raise ShapeError(f"s must be positive, got s={self.s}")
-        if self.n <= 3 * self.s:
-            raise ShapeError(
-                f"need n > 3s for distinct exponents, got n={self.n}, s={self.s}"
-            )
+        fault = _shape_fault(self.n, self.s)
+        if fault is not None:
+            raise ShapeError(fault)
 
     @property
     def exponents(self) -> tuple[int, int, int, int, int]:

@@ -9,8 +9,10 @@ the squarefree gcd plus Berlekamp's rank.  None of these calls another.
 A root at d <= 13 is a ``red_smallfac`` row; a root at d = 14..19, or a
 survivor that the certificate or the rank calls reducible, is ``red_full``.
 Classification of distinct shapes is embarrassingly parallel: shapes go to
-a process pool in fixed-size chunks, and the output order comes from the
-ordered map, so it never depends on the worker count.
+a process pool, ``_SHAPES_PER_TASK`` to a task, and the output order comes
+from the ordered map, so it never depends on the worker count.
+``stats`` folds records as they come, so ``pentaswan stats`` reads a survey
+CSV one row at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 from . import gf2poly, swan
 from ._pool import pool_map
-from .gf2poly import PentShape, ShapeError
+from .gf2poly import PentShape
 from .zpoly import ConsistencyError
 
 __all__ = [
@@ -64,10 +66,13 @@ CSV_HEADER = ("n", "s", "outcome", "elapsed_us")
 # constant only, not recomputed here
 ARBITRARY_POLY_BASELINE = 0.0013
 
-# shapes per pool task: few enough that the costly top columns of a range
-# spread over the workers, enough that dispatch stays cheap (over n in
-# [7, 501) at jobs=2, chunks of 16 ran about 20% slower than chunks of 64)
-_SHAPES_PER_TASK = 64
+# shapes per pool task: each task costs about 0.2-0.4 ms of CPU in pickling,
+# queueing and wake-ups.  At jobs=2 on 2 vCPUs, odd n < 501 (the survey_wide
+# benchmark, median of 3 runs) read 36,700 items/s at 64 shapes a task, 37,800
+# at 128, 39,400 at 256 and 39,300 at 512, while the full survey over n < 3000
+# stayed within its host noise (23-31 s) at each size.  At 256 the 499-shape
+# top column of n < 3000 still spans two tasks.
+_SHAPES_PER_TASK = 256
 
 _DEEP_ROOT_MIN_N = 1000  # the root test to d = ROOT_DEPTH pays for its rows from here on
 
@@ -165,9 +170,9 @@ def survey(
 ) -> Iterator[SearchRecord]:
     """Classify every shape, yielding records in input order.
 
-    ``jobs`` > 1 classifies chunks of shapes in a process pool; the output
-    order and contents are independent of the worker count (only elapsed_us
-    varies).  ``jobs=None`` uses all cores.
+    ``jobs`` > 1 classifies the shapes in a process pool, ``_SHAPES_PER_TASK``
+    to a task; the output order and contents are independent of the worker
+    count (only elapsed_us varies).  ``jobs=None`` uses all cores.
     """
     classify = partial(_classify_timed, prune=prune)
     rows = pool_map(classify, ((sh.n, sh.s) for sh in shapes), jobs, _SHAPES_PER_TASK)
@@ -229,14 +234,13 @@ def write_csv(records: Iterable[SearchRecord], out: TextIO, header: bool = True)
 def _csv_record(row: list[str]) -> SearchRecord:
     # ASCII digits only: int() also takes "1_1", "+9", " 5" and other scripts'
     # digits; with no sign allowed, elapsed_us >= 0 holds
-    if (len(row) == len(CSV_HEADER) and row[2] in OUTCOMES
-            and all(f.isascii() and f.isdigit() for f in row[:2] + row[3:])):
-        rec = SearchRecord(int(row[0]), int(row[1]), row[2], int(row[3]))
-        try:
-            PentShape(rec.n, rec.s)
-            return rec
-        except ShapeError:
-            pass
+    if len(row) == len(CSV_HEADER):
+        n, s, outcome, us = row
+        if ((n + s + us).isascii() and n.isdigit() and s.isdigit() and us.isdigit()
+                and outcome in OUTCOMES):
+            n, s = int(n), int(s)
+            if gf2poly._shape_fault(n, s) is None:
+                return SearchRecord(n, s, outcome, int(us))
     raise ValueError(f"expected {len(CSV_HEADER)} fields with integer n,s,elapsed_us with "
                      f"n >= 7, s >= 1, n > 3s, elapsed_us >= 0 and an outcome in "
                      f"{','.join(OUTCOMES)}: {','.join(row)}")
@@ -247,10 +251,15 @@ def _check_csv_header(header: list[str] | None) -> None:
         raise ValueError(f"expected CSV header {','.join(CSV_HEADER)}")
 
 
-def read_csv(src: TextIO) -> list[SearchRecord]:
+def _csv_records(src: TextIO) -> Iterator[SearchRecord]:
+    """The records of a survey CSV, checked and parsed one row at a time."""
     r = csv.reader(src)
     _check_csv_header(next(r, None))
-    return [_csv_record(row) for row in r]
+    yield from map(_csv_record, r)
+
+
+def read_csv(src: TextIO) -> list[SearchRecord]:
+    return list(_csv_records(src))
 
 
 def resume_point(src: BinaryIO) -> tuple[int | None, int, list[SearchRecord]]:

@@ -24,7 +24,7 @@ def pytest_addoption(parser):
         "--full-survey",
         action="store_true",
         default=False,
-        help="run the exhaustive survey over n < 3000 (about a minute on 2 cores)",
+        help="run the exhaustive survey over n < 3000 (about 25-30 s on 2 cores)",
     )
 
 

@@ -560,3 +560,20 @@ def series_neg_power_sums(coeffs: list[int], count: int) -> list[int]:
         series = [a + sign * b for a, b in zip(series, power)]
         sign = -sign
     return times(series, [(e, e * c) for e, c in enumerate(coeffs) if e])[1:]
+
+
+def csv_record(row: list[str]):
+    """One survey CSV row as a ``SearchRecord``, checked field by field: four
+    fields, ASCII digits in n, s and elapsed_us, a known outcome, and the
+    shape rule n >= 7, s >= 1, n > 3s restated here, not read from the
+    library; anything else raises the library's ValueError text."""
+    from pentaswan.search import CSV_HEADER, OUTCOMES, SearchRecord
+
+    if (len(row) == len(CSV_HEADER) and row[2] in OUTCOMES
+            and all(f.isascii() and f.isdigit() for f in row[:2] + row[3:])):
+        n, s = int(row[0]), int(row[1])
+        if n >= 7 and s >= 1 and n > 3 * s:
+            return SearchRecord(n, s, row[2], int(row[3]))
+    raise ValueError(f"expected {len(CSV_HEADER)} fields with integer n,s,elapsed_us with "
+                     f"n >= 7, s >= 1, n > 3s, elapsed_us >= 0 and an outcome in "
+                     f"{','.join(OUTCOMES)}: {','.join(row)}")

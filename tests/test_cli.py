@@ -626,6 +626,24 @@ def test_stats_reads_stdin_dash(capsys, tmp_path, monkeypatch):
     assert run(capsys, "stats", "-") == (0, from_file, "")
 
 
+def test_stats_streams_rows_and_a_bad_last_row_exits_1(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "run.csv"
+    run(capsys, "search", "--n-min", "7", "--n-max", "60", "--jobs", "1", "--out", str(out_path))
+    parsed, seen, read_row = [], [], search._csv_record
+    monkeypatch.setattr(search, "_csv_record", lambda row: parsed.append(row) or read_row(row))
+    monkeypatch.setattr(search, "stats", lambda records: seen.append(len(parsed)) or stats(records))
+    code, out, _ = run(capsys, "stats", str(out_path))
+    # no row was parsed before the fold began, and every row was after
+    assert code == 0 and seen == [0] and json.loads(out)["total_checked"] == len(parsed) > 100
+
+    text = out_path.read_bytes().decode() + "60,20,irr,5\r\n"
+    out_path.write_text(text, newline="")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for source in (str(out_path), "-"):
+        code, out, err = run(capsys, "stats", source)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.endswith(": 60,20,irr,5\n")
+
+
 def test_stats_missing_file(capsys):
     assert run(capsys, "stats", "/nonexistent/run.csv")[0] == 1
 

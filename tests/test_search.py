@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from pentaswan.search import (
     survey,
     write_csv,
 )
-from pentaswan.search import _SHAPES_PER_TASK
+from pentaswan.search import _SHAPES_PER_TASK, _csv_record
+
+import oracles
 
 
 def record_key(r):
@@ -138,7 +141,7 @@ def test_survey_count_conservation_and_order():
 def test_survey_worker_count_invariance():
     # whole records bar elapsed_us, over many pool tasks
     for s_parity, prune in [("even", True), ("even", False), ("odd", True)]:
-        shapes = list(enumerate_shapes(7, 120, s_parity, "all"))
+        shapes = list(enumerate_shapes(7, 200, s_parity, "all"))
 
         def records(jobs):
             return [(record_key(r), r.factor_bound, r.message)
@@ -445,6 +448,42 @@ def test_csv_round_trip():
 def test_csv_header_required():
     with pytest.raises(ValueError):
         read_csv(io.StringIO("7,2,irr,10\n"))
+
+
+def row_corpus(seed: int = 33) -> list[list[str]]:
+    """Seeded valid rows, then each way a row can fail the check."""
+    rng = random.Random(seed)
+    rows = [["7", "2", "irr", "0"], ["10", "3", "red_full", "5"], ["007", "02", "irr", "00"]]
+    for _ in range(300):
+        n = rng.randrange(7, 3000)
+        rows.append([str(n), str(rng.randrange(1, (n - 1) // 3 + 1)),
+                     rng.choice(search.OUTCOMES), str(rng.randrange(10**6))])
+    valid = list(rows)
+    for field in (0, 1, 3):
+        for bad in ("\u0663", "\u00b2", "1_1", "+9", " 5", "", "-1", "x"):
+            for row in rng.sample(valid, 3):
+                rows.append(row[:field] + [bad] + row[field + 1:])
+    for row in rng.sample(valid, 10):
+        rows += [row[:3], row + ["0"], row[:2] + ["bogus"] + row[3:], row[:2] + ["IRR"] + row[3:]]
+    rows += [[], ["6", "1", "irr", "5"], ["7", "0", "irr", "5"], ["9", "3", "irr", "5"],
+             ["30", "10", "red_full", "5"], ["7", "3", "irr", "5"], ["2999", "1000", "irr", "5"]]
+    return rows
+
+
+def test_csv_row_check_matches_the_oracle_on_every_row():
+    rows = row_corpus()
+    rejected = 0
+    for row in rows:
+        try:
+            expected = oracles.csv_record(row)
+        except ValueError as e:
+            expected = e
+            rejected += 1
+        try:
+            assert _csv_record(row) == expected, row
+        except ValueError as e:
+            assert isinstance(expected, ValueError) and str(e) == str(expected), row
+    assert 300 < len(rows) - rejected and 100 < rejected
 
 
 @pytest.mark.parametrize("fmt", ["csv"])
